@@ -29,12 +29,12 @@
 type config = {
   scale : float;
   max_solutions : int;
-  time_limit : float;
+  seconds : float;  (** per-engine wall-clock budget of a paper cell *)
   jobs : int;  (** worker domains for experiment cells and fault sim *)
 }
 
-let quick = { scale = 0.12; max_solutions = 2000; time_limit = 30.0; jobs = 1 }
-let full = { scale = 1.0; max_solutions = 20000; time_limit = 1800.0; jobs = 1 }
+let quick = { scale = 0.12; max_solutions = 2000; seconds = 30.0; jobs = 1 }
+let full = { scale = 1.0; max_solutions = 20000; seconds = 1800.0; jobs = 1 }
 
 (* machine-readable per-experiment stats; the driver writes every block
    collected by the selected experiments to BENCH_report.json.  Blocks
@@ -62,7 +62,7 @@ let paper_rows =
           |> Par.map ~jobs:cfg.jobs (fun spec ->
                  let prepared = Bench_suite.Workload.prepare spec in
                  Bench_suite.Runner.run ~max_solutions:cfg.max_solutions
-                   ~time_limit:cfg.time_limit prepared)
+                   ~seconds:cfg.seconds prepared)
           |> List.concat
         in
         Hashtbl.add cache cfg.scale rows;
@@ -193,9 +193,9 @@ let ablation cfg =
       if tests <> [] then begin
         let k = spec.Bench_suite.Workload.num_errors in
         let time f =
-          let t0 = Sys.time () in
+          let t0 = Obs.Clock.wall () in
           let _ = f () in
-          Sys.time () -. t0
+          Obs.Clock.wall () -. t0
         in
         let max_solutions = 500 in
         let t_plain =
@@ -352,7 +352,7 @@ let incremental _cfg =
         let steps = [ 4; 8; 16; 32 ] in
         let cap = 300 in
         (* from scratch at every m *)
-        let t0 = Sys.time () in
+        let t0 = Obs.Clock.wall () in
         let scratch =
           List.map
             (fun m ->
@@ -361,9 +361,9 @@ let incremental _cfg =
                 .Diagnosis.Bsat.solutions)
             steps
         in
-        let scratch_time = Sys.time () -. t0 in
+        let scratch_time = Obs.Clock.wall () -. t0 in
         (* one live instance, extended in place *)
-        let t1 = Sys.time () in
+        let t1 = Obs.Clock.wall () in
         let inc = Diagnosis.Incremental.create ~k faulty (prefix 4) in
         let grown = ref 4 in
         let incremental_sols =
@@ -377,7 +377,7 @@ let incremental _cfg =
               Diagnosis.Incremental.solutions ~max_solutions:cap inc)
             steps
         in
-        let incremental_time = Sys.time () -. t1 in
+        let incremental_time = Obs.Clock.wall () -. t1 in
         let obs = Obs.create () in
         Diagnosis.Telemetry.record_solver_stats obs ~prefix:"incremental"
           (Diagnosis.Incremental.stats inc);
@@ -465,22 +465,22 @@ let hitting cfg =
             Obs.Json.Obj
               [
                 ("solutions", Obs.Json.Int (List.length bfs.Diagnosis.Hitting.solutions));
-                ("cores", Obs.Json.Int bfs.Diagnosis.Hitting.cores);
-                ("nodes", Obs.Json.Int bfs.Diagnosis.Hitting.nodes);
-                ("reused", Obs.Json.Int bfs.Diagnosis.Hitting.reused);
-                ("pruned", Obs.Json.Int bfs.Diagnosis.Hitting.pruned);
+                ("cores", Obs.Json.Int bfs.Diagnosis.Hitting.extra.Diagnosis.Hitting.cores);
+                ("nodes", Obs.Json.Int bfs.Diagnosis.Hitting.extra.Diagnosis.Hitting.nodes);
+                ("reused", Obs.Json.Int bfs.Diagnosis.Hitting.extra.Diagnosis.Hitting.reused);
+                ("pruned", Obs.Json.Int bfs.Diagnosis.Hitting.extra.Diagnosis.Hitting.pruned);
                 ("solver_calls", Obs.Json.Int bfs.Diagnosis.Hitting.solver_calls);
-                ("greedy_cores", Obs.Json.Int greedy.Diagnosis.Hitting.cores);
-                ("greedy_nodes", Obs.Json.Int greedy.Diagnosis.Hitting.nodes);
+                ("greedy_cores", Obs.Json.Int greedy.Diagnosis.Hitting.extra.Diagnosis.Hitting.cores);
+                ("greedy_nodes", Obs.Json.Int greedy.Diagnosis.Hitting.extra.Diagnosis.Hitting.nodes);
                 ("bsat_solver_calls", Obs.Json.Int bsat.Diagnosis.Bsat.solver_calls);
                 ("truncated", Obs.Json.Int (if bfs.Diagnosis.Hitting.truncated then 1 else 0));
                 ("agree", Obs.Json.Int (if agree then 1 else 0));
               ] )
           :: !blocks;
         Fmt.pr "%-10s | %5d %5d %6d %6d | %8.3f %8.3f %8.3f | %s@."
-          spec.Bench_suite.Workload.label bfs.Diagnosis.Hitting.cores
-          bfs.Diagnosis.Hitting.nodes bfs.Diagnosis.Hitting.reused
-          bfs.Diagnosis.Hitting.pruned bfs.Diagnosis.Hitting.all_time
+          spec.Bench_suite.Workload.label bfs.Diagnosis.Hitting.extra.Diagnosis.Hitting.cores
+          bfs.Diagnosis.Hitting.extra.Diagnosis.Hitting.nodes bfs.Diagnosis.Hitting.extra.Diagnosis.Hitting.reused
+          bfs.Diagnosis.Hitting.extra.Diagnosis.Hitting.pruned bfs.Diagnosis.Hitting.all_time
           greedy.Diagnosis.Hitting.all_time bsat.Diagnosis.Bsat.all_time
           (if capped then "n/a (capped)" else if agree then "true" else "FALSE")
       end)
@@ -803,23 +803,23 @@ let related _cfg =
     (fun w ->
       let c = Netlist.Generators.multiplier w in
       let gates = Array.length (Netlist.Circuit.gate_ids c) in
-      let t0 = Sys.time () in
+      let t0 = Obs.Clock.wall () in
       let m = Bdd.manager () in
       ignore (Bdd.of_circuit m c);
-      let bdd_time = Sys.time () -. t0 in
+      let bdd_time = Obs.Clock.wall () -. t0 in
       let nodes = Bdd.live_nodes m in
       let faulty, _ = Sim.Injector.inject ~seed:(w * 7) ~num_errors:1 c in
-      let t1 = Sys.time () in
+      let t1 = Obs.Clock.wall () in
       ignore (Encode.Miter.check ~spec:c ~impl:faulty);
-      let miter_time = Sys.time () -. t1 in
+      let miter_time = Obs.Clock.wall () -. t1 in
       let tests =
         Sim.Testgen.generate ~seed:w ~max_vectors:4096 ~wanted:8 ~golden:c
           ~faulty
       in
-      let t2 = Sys.time () in
+      let t2 = Obs.Clock.wall () in
       if tests <> [] then
         ignore (Diagnosis.Bsat.first_solution ~k:1 faulty tests);
-      let bsat_time = Sys.time () -. t2 in
+      let bsat_time = Obs.Clock.wall () -. t2 in
       Fmt.pr "mul%-5d %6d | %10d %9.3f | %9.3f %9.3f@." w gates nodes
         bdd_time miter_time bsat_time)
     [ 2; 3; 4; 5; 6 ];
@@ -887,13 +887,13 @@ let micro_throughput cfg =
   (* repetitions per second of [f], timed over at least [min_time] *)
   let rate ?(min_time = 0.3) f =
     ignore (f ());
-    let start = Sys.time () in
+    let start = Obs.Clock.wall () in
     let reps = ref 0 in
-    while Sys.time () -. start < min_time do
+    while Obs.Clock.wall () -. start < min_time do
       ignore (f ());
       incr reps
     done;
-    float_of_int !reps /. (Sys.time () -. start)
+    float_of_int !reps /. (Obs.Clock.wall () -. start)
   in
   Fmt.pr "== Simulation throughput (BENCH_micro.json, jobs=%d) ==@." cfg.jobs;
   Fmt.pr "  %-8s %6s | %12s %12s %14s %12s %8s@." "circuit" "gates"

@@ -101,15 +101,6 @@ let heuristic_conv =
   in
   Cmdliner.Arg.conv (parse, print)
 
-let report_solutions faulty tests label solutions =
-  Fmt.pr "%s: %d solution(s)@." label (List.length solutions);
-  List.iter
-    (fun sol ->
-      let valid = Core.Validity.check_sat faulty tests sol in
-      Fmt.pr "  %a%s@." (pp_solution faulty) sol
-        (if valid then "" else "  [not a valid correction]"))
-    solutions
-
 let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
     m max_solutions stats trace_out budget_seconds budget_conflicts certify
     jobs =
@@ -145,18 +136,32 @@ let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
     let obs =
       if stats || trace_out <> None then Some (Core.Obs.create ()) else None
     in
-    (* the simulation-based engines have no solver budget; a seconds
-       budget degrades to their coarser between-solutions time limit *)
-    let time_limit = budget_seconds in
-    let truncation_notice truncated =
-      if truncated then
-        Fmt.pr "budget exhausted: enumeration truncated (solutions above are still valid)@."
-    in
     (* with --certify: verified-answer count, or the failures, from the
        SAT engines; None = the method has no certification support *)
     let certification = ref None in
-    let note_cert checks failures =
-      if certify then certification := Some (checks, failures)
+    (* what every method reports, in this order: its solutions, engine
+       details, the truncation notice; a certification outcome is kept
+       for the verdict below *)
+    let report ?solutions ?details ?cert truncated =
+      Option.iter
+        (fun (label, sols) ->
+          Fmt.pr "%s: %d solution(s)@." label (List.length sols);
+          List.iter
+            (fun sol ->
+              let valid = Core.Validity.check_sat faulty tests sol in
+              Fmt.pr "  %a%s@." (pp_solution faulty) sol
+                (if valid then "" else "  [not a valid correction]"))
+            sols)
+        solutions;
+      Option.iter (Fmt.pr "%s@.") details;
+      if truncated then
+        Fmt.pr "budget exhausted: enumeration truncated (solutions above are still valid)@.";
+      if certify then Option.iter (fun c -> certification := Some c) cert
+    in
+    let report_outcome ?details label (r : _ Core.Bsat.outcome) =
+      report ~solutions:(label, r.Core.Bsat.solutions) ?details
+        ~cert:(r.Core.Bsat.cert_checks, r.Core.Bsat.cert_failures)
+        r.Core.Bsat.truncated
     in
     (match approach with
     | Bsim ->
@@ -167,45 +172,39 @@ let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
         Fmt.pr "G_max = %a@." (pp_solution faulty) r.Core.Bsim.gmax
     | Cov ->
         let r =
-          Core.Cover.diagnose ~max_solutions ?time_limit ?obs ~jobs ~k faulty
-            tests
+          Core.Cover.diagnose ~max_solutions ?budget ?obs ~jobs ~k faulty tests
         in
-        report_solutions faulty tests "COV" r.Core.Cover.solutions;
-        truncation_notice r.Core.Cover.truncated
+        report ~solutions:("COV", r.Core.Cover.solutions) r.Core.Cover.truncated
     | Bsat ->
-        let r =
-          Core.Bsat.diagnose ~max_solutions ?budget ?obs ~certify ~jobs ~k
-            faulty tests
-        in
-        report_solutions faulty tests "BSAT" r.Core.Bsat.solutions;
-        truncation_notice r.Core.Bsat.truncated;
-        note_cert r.Core.Bsat.cert_checks r.Core.Bsat.cert_failures
+        report_outcome "BSAT"
+          (Core.Bsat.diagnose ~max_solutions ?budget ?obs ~certify ~jobs ~k
+             faulty tests)
     | Advsim ->
         let r =
-          Core.Advanced_sim.diagnose ~max_solutions ?time_limit ~k faulty tests
+          Core.Advanced_sim.diagnose ~max_solutions ?budget ~k faulty tests
         in
-        report_solutions faulty tests "advanced-sim"
-          r.Core.Advanced_sim.solutions;
-        truncation_notice r.Core.Advanced_sim.truncated
+        report
+          ~solutions:("advanced-sim", r.Core.Advanced_sim.solutions)
+          r.Core.Advanced_sim.truncated
     | Advsat ->
-        let r =
-          Core.Advanced_sat.diagnose_dominators ~max_solutions ?budget ?obs
-            ~certify ~jobs ~k faulty tests
-        in
-        report_solutions faulty tests "advanced-sat (2-pass)"
-          r.Core.Advanced_sat.solutions;
-        truncation_notice r.Core.Advanced_sat.truncated;
-        note_cert r.Core.Advanced_sat.cert_checks
-          r.Core.Advanced_sat.cert_failures
-    | Hybrid ->
+        report_outcome "advanced-sat (2-pass)"
+          (Core.Advanced_sat.diagnose_dominators ~max_solutions ?budget ?obs
+             ~certify ~jobs ~k faulty tests)
+    | Hybrid -> (
+        (* the seed search gets the deadline only: the conflict
+           allowance is the repair's *)
         let cov =
-          Core.Cover.diagnose ~max_solutions:1 ?time_limit ?obs ~jobs ~k
-            faulty tests
+          Core.Cover.diagnose ~max_solutions:1
+            ?budget:
+              (Option.map
+                 (fun seconds -> Core.Budget.create ~seconds ())
+                 budget_seconds)
+            ?obs ~jobs ~k faulty tests
         in
-        (match cov.Core.Cover.solutions with
+        match cov.Core.Cover.solutions with
         | [] ->
             Fmt.pr "no COV seed available@.";
-            truncation_notice cov.Core.Cover.truncated
+            report cov.Core.Cover.truncated
         | seed_sol :: _ ->
             Fmt.pr "COV seed: %a@." (pp_solution faulty) seed_sol;
             let r =
@@ -221,8 +220,9 @@ let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
                   rr.Core.Hybrid.dropped rr.Core.Hybrid.added);
             (* the seed enumeration is capped at one solution on purpose,
                so its truncated flag is not an exhaustion signal *)
-            truncation_notice r.Core.Hybrid.exhausted;
-            note_cert r.Core.Hybrid.cert_checks r.Core.Hybrid.cert_failures)
+            report
+              ~cert:(r.Core.Hybrid.cert_checks, r.Core.Hybrid.cert_failures)
+              r.Core.Hybrid.exhausted)
     | Xlist ->
         let r = Core.Xlist.diagnose faulty tests in
         Fmt.pr "Xlist: |union|=%d@." (List.length r.Core.Xlist.union)
@@ -234,11 +234,12 @@ let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
           Core.Hitting.diagnose ~heuristic ~max_solutions ?budget ?obs
             ~certify ~jobs ~k faulty tests
         in
-        report_solutions faulty tests "HITTING" r.Core.Hitting.solutions;
-        Fmt.pr "cores=%d nodes=%d reused=%d pruned=%d@." r.Core.Hitting.cores
-          r.Core.Hitting.nodes r.Core.Hitting.reused r.Core.Hitting.pruned;
-        truncation_notice r.Core.Hitting.truncated;
-        note_cert r.Core.Hitting.cert_checks r.Core.Hitting.cert_failures
+        let d = r.Core.Hitting.extra in
+        report_outcome "HITTING" r
+          ~details:
+            (Printf.sprintf "cores=%d nodes=%d reused=%d pruned=%d"
+               d.Core.Hitting.cores d.Core.Hitting.nodes d.Core.Hitting.reused
+               d.Core.Hitting.pruned)
     | Inc ->
         (* the exact engine `diagnose serve` runs per request, on a
            cold context — a served response's stats block is
@@ -247,11 +248,11 @@ let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
         let r =
           Core.Serve.Engine.run ?obs ?budget ~jobs ~max_solutions inc
         in
-        report_solutions faulty tests "incremental"
-          r.Core.Serve.Engine.solutions;
-        truncation_notice r.Core.Serve.Engine.truncated;
-        note_cert r.Core.Serve.Engine.cert_checks
-          r.Core.Serve.Engine.cert_failures
+        report
+          ~solutions:("incremental", r.Core.Serve.Engine.solutions)
+          ~cert:
+            (r.Core.Serve.Engine.cert_checks, r.Core.Serve.Engine.cert_failures)
+          r.Core.Serve.Engine.truncated
     | Adaptive ->
         let r =
           Core.Adaptive.diagnose ~max_solutions ?budget ?obs ~certify ~jobs
@@ -281,9 +282,10 @@ let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
               "survivors provably indistinguishable"
           | Core.Adaptive.Stalled -> "stalled (no vector splits the survivors)"
           | Core.Adaptive.Exhausted -> "exhausted (budget or round limit)");
-        report_solutions faulty tests "ADAPTIVE" r.Core.Adaptive.solutions;
-        truncation_notice r.Core.Adaptive.truncated;
-        note_cert r.Core.Adaptive.cert_checks r.Core.Adaptive.cert_failures);
+        report
+          ~solutions:("ADAPTIVE", r.Core.Adaptive.solutions)
+          ~cert:(r.Core.Adaptive.cert_checks, r.Core.Adaptive.cert_failures)
+          r.Core.Adaptive.truncated);
     (match injected with
     | [] -> ()
     | errs ->
@@ -581,7 +583,7 @@ let serve_cmd_run scale jobs circuit_capacity context_capacity slow_ms
 
 (* ---------- experiment ---------- *)
 
-let experiment_cmd_run scale max_solutions time_limit small =
+let experiment_cmd_run scale max_solutions seconds small =
   let specs =
     if small then Bench_suite.Workload.small_specs ()
     else Bench_suite.Workload.paper_specs ~scale
@@ -590,7 +592,7 @@ let experiment_cmd_run scale max_solutions time_limit small =
     List.concat_map
       (fun spec ->
         let prepared = Bench_suite.Workload.prepare spec in
-        Bench_suite.Runner.run ~max_solutions ~time_limit prepared)
+        Bench_suite.Runner.run ~max_solutions ~seconds prepared)
       specs
   in
   Fmt.pr "== Table 2: runtimes (s) ==@.%a@." Bench_suite.Report.pp_table2 rows;
@@ -642,7 +644,7 @@ let run_cmd =
   let max_solutions = Arg.(value & opt int 1000 & info [ "max-solutions" ] ~doc:"Stop after this many solutions") in
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print a JSON block of per-engine solver counters (deterministic under a fixed seed)") in
   let trace = Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Write the run's event trace as Chrome trace_event JSON (open in chrome://tracing or Perfetto)") in
-  let budget_seconds = Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc:"Wall-clock budget; SAT engines stop mid-search and return the truncated-but-valid prefix") in
+  let budget_seconds = Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc:"Wall-clock budget for every method: SAT engines stop mid-search, simulation engines between solutions, and each returns the truncated-but-valid prefix") in
   let budget_conflicts = Arg.(value & opt (some int) None & info [ "budget-conflicts" ] ~docv:"N" ~doc:"Total solver conflict budget across the enumeration (deterministic)") in
   let certify = Arg.(value & flag & info [ "certify" ] ~doc:"Independently verify every SAT-engine solver answer (bsat/advsat): Sat by model evaluation, Unsat by DRUP-checking the solver's proof; exits 3 on a failed check") in
   Cmd.v (Cmd.info "run" ~doc:"Diagnose a faulty circuit against its golden version")
@@ -686,10 +688,10 @@ let report_cmd =
 
 let experiment_cmd =
   let max_solutions = Arg.(value & opt int 20000 & info [ "max-solutions" ] ~doc:"Per-run solution cap") in
-  let time_limit = Arg.(value & opt float 120.0 & info [ "time-limit" ] ~doc:"Per-run time limit (s)") in
+  let seconds = Arg.(value & opt float 120.0 & info [ "time-limit" ] ~doc:"Per-engine wall-clock budget (s)") in
   let small = Arg.(value & flag & info [ "small" ] ~doc:"Use the quick structured-circuit workloads") in
   Cmd.v (Cmd.info "experiment" ~doc:"Reproduce the paper's Tables 2/3 and Figure 6")
-    Term.(const experiment_cmd_run $ scale $ max_solutions $ time_limit $ small)
+    Term.(const experiment_cmd_run $ scale $ max_solutions $ seconds $ small)
 
 let serve_cmd =
   let circuits = Arg.(value & opt int 8 & info [ "circuits" ] ~docv:"N" ~doc:"Parsed-netlist cache capacity") in

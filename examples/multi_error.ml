@@ -74,8 +74,8 @@ let () =
 
   (* the advanced approaches *)
   let asim =
-    Core.Advanced_sim.diagnose ~max_solutions:200 ~time_limit:10.0 ~k:p
-      faulty tests
+    Core.Advanced_sim.diagnose ~max_solutions:200
+      ~budget:(Core.Budget.create ~seconds:10.0 ()) ~k:p faulty tests
   in
   Fmt.pr "@.advanced sim-based: %d valid corrections (search over marked \
           gates)@."
@@ -87,7 +87,7 @@ let () =
   Fmt.pr "advanced SAT (2-pass dominators): %d corrections, pass1 explored \
           %d coarse sites@."
     (List.length adom.Core.Advanced_sat.solutions)
-    (List.length adom.Core.Advanced_sat.pass1_solutions);
+    (List.length adom.Core.Advanced_sat.extra.Core.Advanced_sat.pass1_solutions);
 
   (* does some BSAT solution sit inside the real error set? *)
   let exact =

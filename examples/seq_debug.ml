@@ -66,7 +66,7 @@ let () =
     (* sequential BSAT: guaranteed valid sequential corrections *)
     let r = Core.Seq_diag.diagnose_bsat ~k:1 faulty tests in
     Fmt.pr "sequential BSAT (unrolled over %d frames): %a@."
-      r.Core.Seq_diag.frames
+      r.Core.Seq_diag.extra.Core.Seq_diag.frames
       (Fmt.list ~sep:(Fmt.any " ") pp_sol)
       r.Core.Seq_diag.solutions;
     List.iter

@@ -23,13 +23,11 @@ type row = {
 }
 
 val run_row :
-  ?max_solutions:int -> ?time_limit:float -> ?budget:Sat.Budget.t ->
-  Workload.prepared -> m:int -> row
-(** Diagnose the faulty circuit with the first [m] tests, k = p.
-    [budget] caps BSAT's solver effort (see {!Diagnosis.Bsat.diagnose}). *)
+  ?max_solutions:int -> ?seconds:float -> Workload.prepared -> m:int -> row
+(** Diagnose the faulty circuit with the first [m] tests, k = p.  COV
+    and BSAT each get a fresh {!Sat.Budget} of [seconds] wall-clock
+    seconds.  Every time in the row is wall-clock seconds. *)
 
-val run :
-  ?max_solutions:int -> ?time_limit:float -> ?budget:Sat.Budget.t ->
-  Workload.prepared -> row list
+val run : ?max_solutions:int -> ?seconds:float -> Workload.prepared -> row list
 (** One row per configured m (skipping m values for which not enough
     failing tests exist). *)

@@ -1,30 +1,34 @@
 module Dominators = Netlist.Dominators
 
-type result = {
-  solutions : int list list;
-  pass1_solutions : int list list;
-  total_time : float;
-  truncated : bool;
-  stats : Sat.Solver.stats;
-  cert_checks : int;
-  cert_failures : string list;
-}
+include Enumeration.Outcome
+
+type refinement = { pass1_solutions : int list list }
+
+type result = refinement outcome
 
 (* Inner Bsat runs are deliberately not handed [obs]: their per-call
    counters would double-count against the final-pass snapshot recorded
-   here.  Phase events around each pass carry the trajectory instead. *)
-let record obs prefix ~solver_calls (r : result) =
-  match obs with
-  | None -> ()
-  | Some obs ->
+   here.  Phase events around each pass carry the trajectory instead.
+   [t0] restates [all_time] as the whole run, preprocessing included. *)
+let finish obs prefix ~t0 ~pass1 (r : Bsat.result) =
+  let r =
+    {
+      r with
+      all_time = Obs.Clock.wall () -. t0;
+      extra = { pass1_solutions = pass1.Bsat.solutions };
+    }
+  in
+  Option.iter
+    (fun obs ->
       Telemetry.record_run obs ~prefix
         ~solutions:(List.length r.solutions)
-        ~solver_calls ~truncated:r.truncated r.stats;
-      Obs.record_span obs (prefix ^ "/total") r.total_time
+        ~solver_calls:r.solver_calls ~truncated:r.truncated r.stats;
+      Obs.record_span obs (prefix ^ "/total") r.all_time)
+    obs;
+  r
 
-let diagnose_dominators ?max_solutions ?time_limit ?budget ?obs ?certify ?jobs
-    ~k c tests =
-  let t0 = Sys.time () in
+let diagnose_dominators ?max_solutions ?budget ?obs ?certify ?jobs ~k c tests =
+  let t0 = Obs.Clock.wall () in
   let dom = Dominators.compute c in
   let skeleton = Dominators.nontrivial dom in
   (* one budget spans both passes: the refinement pass only gets what the
@@ -34,7 +38,7 @@ let diagnose_dominators ?max_solutions ?time_limit ?budget ?obs ?certify ?jobs
       ~payload:(fun r -> List.length r.Bsat.solutions)
       (fun () ->
         Bsat.diagnose ~candidates:skeleton ~force_zero:true ?max_solutions
-          ?time_limit ?budget ?certify ?jobs ~k c tests)
+          ?budget ?certify ?jobs ~k c tests)
   in
   (* refine: multiplexers at every implicated dominator and everything it
      dominates *)
@@ -46,39 +50,18 @@ let diagnose_dominators ?max_solutions ?time_limit ?budget ?obs ?certify ?jobs
     |> List.sort_uniq Int.compare
     |> List.filter (fun g -> not (Netlist.Circuit.is_input c g))
   in
-  let pass2, calls, cert_checks, cert_failures =
-    match implicated with
-    | [] ->
-        ( pass1,
-          pass1.Bsat.solver_calls,
-          pass1.Bsat.cert_checks,
-          pass1.Bsat.cert_failures )
-    | _ ->
-        let p2 =
-          Telemetry.phase obs "advsat/pass2"
-            ~payload:(fun r -> List.length r.Bsat.solutions)
-            (fun () ->
-              Bsat.diagnose ~candidates:implicated ~force_zero:true
-                ?max_solutions ?time_limit ?budget ?certify ?jobs ~k c tests)
-        in
-        ( p2,
-          pass1.Bsat.solver_calls + p2.Bsat.solver_calls,
-          pass1.Bsat.cert_checks + p2.Bsat.cert_checks,
-          pass1.Bsat.cert_failures @ p2.Bsat.cert_failures )
-  in
   let r =
-    {
-      solutions = pass2.Bsat.solutions;
-      pass1_solutions = pass1.Bsat.solutions;
-      total_time = Sys.time () -. t0;
-      truncated = pass1.Bsat.truncated || pass2.Bsat.truncated;
-      stats = pass2.Bsat.stats;
-      cert_checks;
-      cert_failures;
-    }
+    match implicated with
+    | [] -> pass1
+    | _ ->
+        Enumeration.followed_by pass1
+          (Telemetry.phase obs "advsat/pass2"
+             ~payload:(fun r -> List.length r.Bsat.solutions)
+             (fun () ->
+               Bsat.diagnose ~candidates:implicated ~force_zero:true
+                 ?max_solutions ?budget ?certify ?jobs ~k c tests))
   in
-  record obs "advsat/dominators" ~solver_calls:calls r;
-  r
+  finish obs "advsat/dominators" ~t0 ~pass1 r
 
 let chunks n xs =
   let rec go acc cur count = function
@@ -89,75 +72,45 @@ let chunks n xs =
   in
   go [] [] 0 xs
 
-let diagnose_partitioned ?(slice = 8) ?max_solutions ?time_limit ?budget ?obs
-    ?certify ?jobs ~k c tests =
-  let t0 = Sys.time () in
-  let slices = chunks slice tests in
-  match slices with
+let diagnose_partitioned ?(slice = 8) ?max_solutions ?budget ?obs ?certify
+    ?jobs ~k c tests =
+  let t0 = Obs.Clock.wall () in
+  match chunks slice tests with
   | [] ->
       {
         solutions = [];
-        pass1_solutions = [];
-        total_time = 0.0;
+        cnf_time = 0.0;
+        one_time = 0.0;
+        all_time = 0.0;
         truncated = false;
-        stats = Sat.Solver.stats (Sat.Solver.create ());
+        solver_calls = 0;
+        stats = Sat.Solver.zero_stats;
         cert_checks = 0;
         cert_failures = [];
+        extra = { pass1_solutions = [] };
       }
   | first :: rest ->
-      let truncated = ref false in
-      let calls = ref 0 in
-      let cert_checks = ref 0 in
-      let cert_failures = ref [] in
-      let note (r : Bsat.result) =
-        if r.Bsat.truncated then truncated := true;
-        calls := !calls + r.Bsat.solver_calls;
-        cert_checks := !cert_checks + r.Bsat.cert_checks;
-        cert_failures := !cert_failures @ r.Bsat.cert_failures;
-        r
-      in
-      let slice_phase f =
+      let solve_slice ?candidates slice_tests =
         Telemetry.phase obs "advsat/slice"
           ~payload:(fun r -> List.length r.Bsat.solutions)
-          f
+          (fun () ->
+            Bsat.diagnose ?candidates ~force_zero:true ?max_solutions ?budget
+              ?certify ?jobs ~k c slice_tests)
       in
-      let r0 =
-        note
-          (slice_phase (fun () ->
-               Bsat.diagnose ~force_zero:true ?max_solutions ?time_limit
-                 ?budget ?certify ?jobs ~k c first))
-      in
-      let narrow result next_tests =
-        let cands =
-          List.concat result.Bsat.solutions |> List.sort_uniq Int.compare
-        in
-        match cands with
-        | [] -> result
-        | _ ->
-            note
-              (slice_phase (fun () ->
-                   Bsat.diagnose ~candidates:cands ~force_zero:true
-                     ?max_solutions ?time_limit ?budget ?certify ?jobs ~k c
-                     next_tests))
-      in
+      let r0 = solve_slice first in
       (* each slice shrinks the candidate pool; solve the next slice over
          the survivors only *)
+      let narrow acc next_tests =
+        match List.concat acc.solutions |> List.sort_uniq Int.compare with
+        | [] -> acc
+        | cands ->
+            Enumeration.followed_by acc
+              (solve_slice ~candidates:cands next_tests)
+      in
       let final = List.fold_left narrow r0 rest in
       (* validate survivors against the complete test set *)
       let solutions =
         List.filter (fun sol -> Validity.check_sat c tests sol)
-          final.Bsat.solutions
+          final.solutions
       in
-      let r =
-        {
-          solutions;
-          pass1_solutions = r0.Bsat.solutions;
-          total_time = Sys.time () -. t0;
-          truncated = !truncated;
-          stats = final.Bsat.stats;
-          cert_checks = !cert_checks;
-          cert_failures = !cert_failures;
-        }
-      in
-      record obs "advsat/partitioned" ~solver_calls:!calls r;
-      r
+      finish obs "advsat/partitioned" ~t0 ~pass1:r0 { final with solutions }

@@ -18,23 +18,21 @@
     original tool — the refinement is heuristic, so rare corrections
     outside the implicated regions can be missed. *)
 
-type result = {
-  solutions : int list list;
-  pass1_solutions : int list list; (** coarse (dominator / first-slice) *)
-  total_time : float;
-  truncated : bool;
-      (** any underlying pass hit its budget or limit; the reported
-          solutions are still individually valid *)
-  stats : Sat.Solver.stats;        (** from the final pass *)
-  cert_checks : int;
-      (** with [certify]: verified answers, summed over all passes *)
-  cert_failures : string list;
-      (** with [certify]: verification failures over all passes *)
+include module type of struct include Enumeration.Outcome end
+
+type refinement = {
+  pass1_solutions : int list list;  (** coarse (dominator / first-slice) *)
 }
+
+type result = refinement outcome
+(** The passes combined with {!Enumeration.followed_by}: [solutions] and
+    [stats] come from the final pass; [solver_calls], [cert_checks] and
+    [cert_failures] are summed over all passes; [truncated] is set when
+    any pass hit its budget or cap (the reported solutions are still
+    individually valid); [all_time] covers the whole run. *)
 
 val diagnose_dominators :
   ?max_solutions:int ->
-  ?time_limit:float ->
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?certify:bool ->
@@ -54,7 +52,6 @@ val diagnose_dominators :
 val diagnose_partitioned :
   ?slice:int ->
   ?max_solutions:int ->
-  ?time_limit:float ->
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?certify:bool ->

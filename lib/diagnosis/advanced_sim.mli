@@ -21,8 +21,12 @@ type result = {
 val diagnose :
   ?tie_break:Path_trace.tie_break ->
   ?max_solutions:int ->
-  ?time_limit:float ->
+  ?budget:Sat.Budget.t ->
   k:int ->
   Netlist.Circuit.t ->
   Sim.Testgen.test list ->
   result
+(** [budget] is checked between search nodes (the engine makes no
+    solver call): once it is exhausted, or [max_solutions] solutions
+    are recorded, the search stops with [truncated = true] and the
+    solutions found so far, each still a valid essential correction. *)

@@ -1,14 +1,6 @@
-type result = {
-  solutions : int list list;
-  cnf_time : float;
-  one_time : float;
-  all_time : float;
-  truncated : bool;
-  solver_calls : int;
-  stats : Sat.Solver.stats;
-  cert_checks : int;
-  cert_failures : string list;
-}
+include Enumeration.Outcome
+
+type result = unit outcome
 
 type hints = {
   priority : (int * float) list;
@@ -31,166 +23,82 @@ let apply_hints solver inst hints =
       | exception Not_found -> ())
     hints.prefer_selected
 
-type strategy = Incremental_k | Minimize_single_pass
+type strategy = Enumeration.strategy = Incremental_k | Minimize_single_pass
 
-(* Shrink a model's select set to an essential subset inside the same
-   instance: candidate gates outside the set are pinned off, members are
-   dropped one at a time while the instance stays satisfiable.  On budget
-   exhaustion the remaining members are kept as-is: the returned set is
-   still a valid correction, just possibly non-minimal. *)
-let shrink_in_instance ~budget ~count_call inst sol =
-  let all_candidates = Array.to_list (Encode.Muxed.candidate_gates inst) in
-  let keep_off in_candidate =
-    List.filter_map
-      (fun g ->
-        if Hashtbl.mem in_candidate g then None
-        else Some (Sat.Lit.negate (Encode.Muxed.select_lit inst g)))
-      all_candidates
-  in
-  let rec drop kept_rev = function
-    | [] -> List.rev kept_rev
-    | g :: rest -> (
-        (* same membership order as the quadratic kept @ rest original:
-           tie-break order must not change *)
-        let candidate = List.rev_append kept_rev rest in
-        let in_candidate = Hashtbl.create 16 in
-        List.iter (fun h -> Hashtbl.replace in_candidate h ()) candidate;
-        let extra =
-          List.map (Encode.Muxed.select_lit inst) candidate
-          @ keep_off in_candidate
-        in
-        count_call ();
-        match
-          Encode.Muxed.solve_at_most_limited ~extra ~budget inst
-            (List.length candidate)
-        with
-        | Sat.Solver.Solved Sat.Solver.Sat -> drop kept_rev rest
-        | Sat.Solver.Solved Sat.Solver.Unsat -> drop (g :: kept_rev) rest
-        | Sat.Solver.Unknown -> List.rev_append kept_rev (g :: rest))
-  in
-  drop [] sol
+(* one worker's fields: the shared [reg] is [obs] itself on the
+   sequential path *)
+type worker = { outcome : result; fence : int; reg : Obs.t option }
 
-let diagnose_sequential ~candidates ~force_zero ~hints ~strategy ~max_solutions
-    ~time_limit ~budget ~obs ~obs_prefix ~certify ~k c tests =
-  let t0 = Sys.time () in
+(* Build the instance and enumerate worker [w]'s cubes of a [jobs]-wide
+   portfolio.  At [jobs = 1] the single cube is empty and worker 0 gets
+   no diversity tweak, so this is exactly the sequential run. *)
+let run_worker ~candidates ~force_zero ~hints ~strategy ~max_solutions ~budget
+    ~obs_prefix ~certify ~found ~jobs ~k ~reg c tests w =
   let solver = Sat.Solver.create () in
-  Option.iter (Sat.Solver.attach_obs solver) obs;
+  Option.iter (Sat.Solver.attach_obs solver) reg;
+  let t0 = Obs.Clock.wall () in
   let inst =
-    Telemetry.phase obs (obs_prefix ^ "/cnf") (fun () ->
+    Telemetry.phase reg (obs_prefix ^ "/cnf") (fun () ->
         Encode.Muxed.build ?candidates ?force_zero ~certify ~max_k:k solver c
           tests)
   in
   apply_hints solver inst hints;
-  let cnf_time = Sys.time () -. t0 in
-  Option.iter (fun o -> Obs.begin_event o (obs_prefix ^ "/solve")) obs;
-  let start = Sys.time () in
-  let solutions = ref [] in
-  let nsol = ref 0 in
-  let ncalls = ref 0 in
-  let one_time = ref 0.0 in
-  let truncated = ref false in
-  let count_call () = incr ncalls in
-  let out_of_budget () =
-    !nsol >= max_solutions
-    || Sys.time () -. start > time_limit
-    || Sat.Budget.exhausted budget
+  let cnf_time = Obs.Clock.wall () -. t0 in
+  let cands = Encode.Muxed.candidate_gates inst in
+  (* branching diversity between otherwise-identical workers: odd
+     workers try selects on first, later workers bump select activity *)
+  let select_var g = Sat.Lit.var (Encode.Muxed.select_lit inst g) in
+  if w land 1 = 1 then
+    Array.iter (fun g -> Sat.Solver.set_default_phase solver (select_var g) true) cands;
+  if w >= 2 then
+    Array.iteri
+      (fun i g ->
+        Sat.Solver.bump_priority solver (select_var g)
+          (float_of_int ((i + w) land 7)))
+      cands;
+  let l =
+    let rec fit l = if 1 lsl l >= jobs then l else fit (l + 1) in
+    min (fit 0) (Array.length cands)
   in
-  let record sol =
-    if !nsol = 0 then one_time := Sys.time () -. start;
-    solutions := sol :: !solutions;
-    incr nsol;
-    Encode.Muxed.block inst sol
+  let cube j =
+    List.init l (fun i ->
+        let lit = Encode.Muxed.select_lit inst cands.(i) in
+        if j land (1 lsl i) <> 0 then lit else Sat.Lit.negate lit)
   in
-  (match strategy with
-  | Incremental_k ->
-      let stop = ref false in
-      for i = 1 to k do
-        let continue_level = ref (not !stop) in
-        while !continue_level do
-          if out_of_budget () then begin
-            truncated := true;
-            stop := true;
-            continue_level := false
-          end
-          else begin
-            count_call ();
-            match Encode.Muxed.solve_at_most_limited ~budget inst i with
-            | Sat.Solver.Solved Sat.Solver.Unsat -> continue_level := false
-            | Sat.Solver.Solved Sat.Solver.Sat ->
-                record (Encode.Muxed.solution inst)
-            | Sat.Solver.Unknown ->
-                truncated := true;
-                stop := true;
-                continue_level := false
-          end
-        done
-      done
-  | Minimize_single_pass ->
-      let continue_ = ref true in
-      while !continue_ do
-        if out_of_budget () then begin
-          truncated := true;
-          continue_ := false
-        end
-        else begin
-          count_call ();
-          match Encode.Muxed.solve_at_most_limited ~budget inst k with
-          | Sat.Solver.Solved Sat.Solver.Unsat -> continue_ := false
-          | Sat.Solver.Solved Sat.Solver.Sat ->
-              record
-                (List.sort Int.compare
-                   (shrink_in_instance ~budget ~count_call inst
-                      (Encode.Muxed.solution inst)))
-          | Sat.Solver.Unknown ->
-              truncated := true;
-              continue_ := false
-        end
-      done);
-  let all_time = Sys.time () -. start in
-  let stats = Sat.Solver.stats solver in
-  (match obs with
-  | None -> ()
-  | Some obs ->
-      Obs.end_event ~payload:!nsol obs (obs_prefix ^ "/solve");
-      List.iter
-        (fun sol ->
-          Obs.observe obs (obs_prefix ^ "/solution_size") (List.length sol))
-        !solutions;
-      Telemetry.record_run obs ~prefix:obs_prefix ~solutions:!nsol
-        ~solver_calls:!ncalls ~truncated:!truncated stats;
-      Obs.record_span obs (obs_prefix ^ "/cnf") cnf_time;
-      Obs.record_span obs (obs_prefix ^ "/solve") all_time);
+  let cubes =
+    List.init (1 lsl l) Fun.id |> List.filter (fun j -> j mod jobs = w)
+    |> List.map cube
+  in
+  Option.iter (fun o -> Obs.begin_event o (obs_prefix ^ "/solve")) reg;
+  let start = Obs.Clock.wall () in
+  let r =
+    Enumeration.enumerate ~strategy ~cubes ~found ~max_solutions ~budget ~k
+      inst
+  in
+  let all_time = Obs.Clock.wall () -. start in
+  Option.iter
+    (fun o ->
+      Obs.end_event ~payload:(List.length r.Enumeration.found) o
+        (obs_prefix ^ "/solve"))
+    reg;
   {
-    solutions = Solutions.canonical (List.rev !solutions);
-    cnf_time;
-    one_time = !one_time;
-    all_time;
-    truncated = !truncated;
-    solver_calls = !ncalls;
-    stats;
-    cert_checks = Encode.Muxed.cert_checks inst;
-    cert_failures = Encode.Muxed.cert_failures inst;
+    outcome =
+      {
+        solutions = Solutions.canonical r.Enumeration.found;
+        cnf_time;
+        one_time =
+          Option.fold ~none:0.0 ~some:(fun t -> t -. start) r.Enumeration.first_at;
+        all_time;
+        truncated = r.Enumeration.cut;
+        solver_calls = r.Enumeration.calls;
+        stats = Sat.Solver.stats solver;
+        cert_checks = Encode.Muxed.cert_checks inst;
+        cert_failures = Encode.Muxed.cert_failures inst;
+        extra = ();
+      };
+    fence = r.Enumeration.completed;
+    reg;
   }
-
-let sum_stats (a : Sat.Solver.stats) (b : Sat.Solver.stats) =
-  Sat.Solver.
-    {
-      decisions = a.decisions + b.decisions;
-      propagations = a.propagations + b.propagations;
-      conflicts = a.conflicts + b.conflicts;
-      restarts = a.restarts + b.restarts;
-      learned = a.learned + b.learned;
-      learned_total = a.learned_total + b.learned_total;
-      deleted = a.deleted + b.deleted;
-      subsumed = a.subsumed + b.subsumed;
-      strengthened = a.strengthened + b.strengthened;
-      vivified = a.vivified + b.vivified;
-      eliminated = a.eliminated + b.eliminated;
-    }
-
-let rec take n = function
-  | x :: rest when n > 0 -> x :: take (n - 1) rest
-  | _ -> []
 
 (* Solver portfolio: the solution space is partitioned into cubes by
    fixing the first L = ⌈log2 jobs⌉ candidate select lines to each of
@@ -204,259 +112,94 @@ let rec take n = function
    filtering the merged union down to inclusion-minimal sets recovers
    exactly the sequential essential-solution set, and the canonical sort
    makes the list byte-identical to [jobs = 1]. *)
-let diagnose_portfolio ~candidates ~force_zero ~hints ~strategy ~max_solutions
-    ~time_limit ~budget ~obs ~obs_prefix ~certify ~jobs ~k c tests =
-  let found = Atomic.make 0 in
-  let worker w =
-    let reg = Option.map (fun _ -> Obs.create ()) obs in
-    let solver = Sat.Solver.create () in
-    Option.iter (Sat.Solver.attach_obs solver) reg;
-    let wt0 = Obs.Clock.wall () in
-    let inst =
-      Telemetry.phase reg (obs_prefix ^ "/cnf") (fun () ->
-          Encode.Muxed.build ?candidates ?force_zero ~certify ~max_k:k solver c
-            tests)
-    in
-    apply_hints solver inst hints;
-    let cnf_time = Obs.Clock.wall () -. wt0 in
-    let cands = Encode.Muxed.candidate_gates inst in
-    (* branching diversity between otherwise-identical workers: odd
-       workers try selects on first, later workers bump select activity *)
-    let select_var g = Sat.Lit.var (Encode.Muxed.select_lit inst g) in
-    if w land 1 = 1 then
-      Array.iter (fun g -> Sat.Solver.set_default_phase solver (select_var g) true) cands;
-    if w >= 2 then
-      Array.iteri
-        (fun i g ->
-          Sat.Solver.bump_priority solver (select_var g)
-            (float_of_int ((i + w) land 7)))
-        cands;
-    let l =
-      let rec fit l = if 1 lsl l >= jobs then l else fit (l + 1) in
-      min (fit 0) (Array.length cands)
-    in
-    let ncubes = 1 lsl l in
-    let cube_assumptions j =
-      List.init l (fun i ->
-          let lit = Encode.Muxed.select_lit inst cands.(i) in
-          if j land (1 lsl i) <> 0 then lit else Sat.Lit.negate lit)
-    in
-    let wstart = Obs.Clock.wall () in
-    let sols = ref [] in
-    let ncalls = ref 0 in
-    let one_time = ref 0.0 in
-    let truncated = ref false in
-    (* deepest cardinality level fully enumerated (to Unsat) in *every*
-       cube this worker owns; the merge uses the minimum across workers
-       to fence off solutions whose smaller dominator may have been lost
-       to the budget in an unfinished cube *)
-    let fence = ref k in
-    let count_call () = incr ncalls in
-    let out_of_budget () =
-      Atomic.get found >= max_solutions
-      || Obs.Clock.wall () -. wstart > time_limit
-      || Sat.Budget.exhausted budget
-    in
-    let record sol =
-      if !sols = [] then one_time := Obs.Clock.wall () -. wstart;
-      sols := sol :: !sols;
-      Atomic.incr found;
-      Encode.Muxed.block inst sol
-    in
-    Option.iter (fun o -> Obs.begin_event o (obs_prefix ^ "/solve")) reg;
-    let j = ref w in
-    while !j < ncubes do
-      let cube = cube_assumptions !j in
-      (match strategy with
-      | Incremental_k ->
-          let stop = ref false in
-          let completed = ref 0 in
-          for i = 1 to k do
-            let continue_level = ref (not !stop) in
-            while !continue_level do
-              if out_of_budget () then begin
-                truncated := true;
-                stop := true;
-                continue_level := false
-              end
-              else begin
-                count_call ();
-                match
-                  Encode.Muxed.solve_at_most_limited ~extra:cube ~budget inst i
-                with
-                | Sat.Solver.Solved Sat.Solver.Unsat ->
-                    completed := i;
-                    continue_level := false
-                | Sat.Solver.Solved Sat.Solver.Sat ->
-                    record (Encode.Muxed.solution inst)
-                | Sat.Solver.Unknown ->
-                    truncated := true;
-                    stop := true;
-                    continue_level := false
-              end
-            done
-          done;
-          fence := min !fence !completed
-      | Minimize_single_pass ->
-          let continue_ = ref true in
-          while !continue_ do
-            if out_of_budget () then begin
-              truncated := true;
-              continue_ := false
-            end
-            else begin
-              count_call ();
-              match
-                Encode.Muxed.solve_at_most_limited ~extra:cube ~budget inst k
-              with
-              | Sat.Solver.Solved Sat.Solver.Unsat -> continue_ := false
-              | Sat.Solver.Solved Sat.Solver.Sat ->
-                  record
-                    (List.sort Int.compare
-                       (shrink_in_instance ~budget ~count_call inst
-                          (Encode.Muxed.solution inst)))
-              | Sat.Solver.Unknown ->
-                  truncated := true;
-                  continue_ := false
-            end
-          done);
-      j := !j + jobs
-    done;
-    Option.iter
-      (fun o ->
-        Obs.end_event ~payload:(List.length !sols) o (obs_prefix ^ "/solve"))
-      reg;
-    ( !sols,
-      !ncalls,
-      !truncated,
-      !fence,
-      !one_time,
-      cnf_time,
-      Obs.Clock.wall () -. wstart,
-      Sat.Solver.stats solver,
-      reg,
-      (Encode.Muxed.cert_checks inst, Encode.Muxed.cert_failures inst) )
-  in
-  let results = Par.run ~jobs worker in
+let merge_portfolio ~strategy ~max_solutions ~k workers =
+  let outcomes = Array.map (fun w -> w.outcome) workers in
+  let sum f = Array.fold_left (fun acc o -> acc + f o) 0 outcomes in
+  let max_time f = Array.fold_left (fun acc o -> Float.max acc (f o)) 0.0 outcomes in
   (* a solution of size <= fence+1 that is not essential contains an
      essential one of size <= fence, which every worker's every cube
      enumerated to Unsat — so it is present in the union and the
      inclusion-minimal filter removes the superset.  Above the fence a
      dominator may have been lost to the budget; those solutions are
-     dropped (the run is already marked truncated). *)
+     dropped (the run is already marked truncated).  A single pass has
+     no levels to fence. *)
   let fence =
-    Array.fold_left
-      (fun acc (_, _, _, f, _, _, _, _, _, _) -> min acc f)
-      k results
+    match strategy with
+    | Incremental_k -> Array.fold_left (fun acc w -> min acc w.fence) k workers
+    | Minimize_single_pass -> k
   in
   let merged =
-    Array.to_list results
-    |> List.concat_map (fun (sols, _, _, _, _, _, _, _, _, _) -> sols)
+    Array.to_list outcomes
+    |> List.concat_map (fun o -> o.solutions)
     |> Solutions.canonical |> Solutions.minimal_only
     |> List.filter (fun s -> List.length s <= fence + 1)
   in
-  let truncated =
-    Array.exists (fun (_, _, tr, _, _, _, _, _, _, _) -> tr) results
-    || List.length merged > max_solutions
-  in
-  let solutions =
-    if List.length merged > max_solutions then take max_solutions merged
-    else merged
-  in
-  let ncalls =
-    Array.fold_left (fun acc (_, n, _, _, _, _, _, _, _, _) -> acc + n) 0 results
-  in
-  let stats =
-    Array.fold_left
-      (fun acc (_, _, _, _, _, _, _, st, _, _) -> sum_stats acc st)
-      Sat.Solver.
-        {
-          decisions = 0;
-          propagations = 0;
-          conflicts = 0;
-          restarts = 0;
-          learned = 0;
-          learned_total = 0;
-          deleted = 0;
-          subsumed = 0;
-          strengthened = 0;
-          vivified = 0;
-          eliminated = 0;
-        }
-      results
-  in
-  let cnf_time =
-    Array.fold_left
-      (fun acc (_, _, _, _, _, ct, _, _, _, _) -> Float.max acc ct)
-      0.0 results
-  in
   let one_time =
     Array.fold_left
-      (fun acc (sols, _, _, _, ot, _, _, _, _, _) ->
-        if sols = [] then acc else Float.min acc ot)
-      infinity results
+      (fun acc o -> if o.solutions = [] then acc else Float.min acc o.one_time)
+      infinity outcomes
   in
-  let one_time = if Float.is_finite one_time then one_time else 0.0 in
-  let all_time =
-    Array.fold_left
-      (fun acc (_, _, _, _, _, _, at, _, _, _) -> Float.max acc at)
-      0.0 results
-  in
-  (* per-worker certification composes: each worker certifies its own
-     cubes' answers, and the cubes cover the solution space *)
-  let cert_checks =
-    Array.fold_left
-      (fun acc (_, _, _, _, _, _, _, _, _, (n, _)) -> acc + n)
-      0 results
-  in
-  let cert_failures =
-    Array.to_list results
-    |> List.concat_map (fun (_, _, _, _, _, _, _, _, _, (_, fs)) -> fs)
-  in
-  (match obs with
-  | None -> ()
-  | Some obs ->
-      let regs =
-        Array.to_list results
-        |> List.filter_map (fun (_, _, _, _, _, _, _, _, reg, _) -> reg)
-        |> Array.of_list
-      in
-      Obs.merge_children ~into:obs regs;
-      List.iter
-        (fun sol ->
-          Obs.observe obs (obs_prefix ^ "/solution_size") (List.length sol))
-        solutions;
-      Telemetry.record_run obs ~prefix:obs_prefix
-        ~solutions:(List.length solutions) ~solver_calls:ncalls ~truncated
-        stats;
-      Obs.record_span obs (obs_prefix ^ "/cnf") cnf_time;
-      Obs.record_span obs (obs_prefix ^ "/solve") all_time);
   {
-    solutions;
-    cnf_time;
-    one_time;
-    all_time;
-    truncated;
-    solver_calls = ncalls;
-    stats;
-    cert_checks;
-    cert_failures;
+    solutions = List.filteri (fun i _ -> i < max_solutions) merged;
+    cnf_time = max_time (fun o -> o.cnf_time);
+    one_time = (if Float.is_finite one_time then one_time else 0.0);
+    all_time = max_time (fun o -> o.all_time);
+    truncated =
+      Array.exists (fun o -> o.truncated) outcomes
+      || List.length merged > max_solutions;
+    solver_calls = sum (fun o -> o.solver_calls);
+    stats =
+      Array.fold_left
+        (fun acc o -> Sat.Solver.sum_stats acc o.stats)
+        Sat.Solver.zero_stats outcomes;
+    (* per-worker certification composes: each worker certifies its own
+       cubes' answers, and the cubes cover the solution space *)
+    cert_checks = sum (fun o -> o.cert_checks);
+    cert_failures =
+      Array.to_list outcomes |> List.concat_map (fun o -> o.cert_failures);
+    extra = ();
   }
 
 let diagnose ?candidates ?force_zero ?(hints = no_hints)
-    ?(strategy = Incremental_k) ?(max_solutions = max_int)
-    ?(time_limit = infinity) ?budget ?obs ?(obs_prefix = "bsat")
-    ?(certify = false) ?(jobs = 1) ~k c tests =
+    ?(strategy = Incremental_k) ?(max_solutions = max_int) ?budget ?obs
+    ?(obs_prefix = "bsat") ?(certify = false) ?(jobs = 1) ~k c tests =
   let budget =
     match budget with Some b -> b | None -> Sat.Budget.unlimited ()
   in
   let jobs = Par.clamp_jobs jobs in
-  if jobs = 1 then
-    diagnose_sequential ~candidates ~force_zero ~hints ~strategy ~max_solutions
-      ~time_limit ~budget ~obs ~obs_prefix ~certify ~k c tests
-  else
-    diagnose_portfolio ~candidates ~force_zero ~hints ~strategy ~max_solutions
-      ~time_limit ~budget ~obs ~obs_prefix ~certify ~jobs ~k c tests
+  let found = Atomic.make 0 in
+  let run_worker ~reg =
+    run_worker ~candidates ~force_zero ~hints ~strategy ~max_solutions ~budget
+      ~obs_prefix ~certify ~found ~jobs ~k ~reg c tests
+  in
+  let r =
+    if jobs = 1 then (run_worker ~reg:obs 0).outcome
+    else begin
+      let workers =
+        Par.run ~jobs (fun w ->
+            run_worker ~reg:(Option.map (fun _ -> Obs.create ()) obs) w)
+      in
+      Option.iter
+        (fun into ->
+          Obs.merge_children ~into
+            (Array.of_list (List.filter_map (fun w -> w.reg) (Array.to_list workers))))
+        obs;
+      merge_portfolio ~strategy ~max_solutions ~k workers
+    end
+  in
+  Option.iter
+    (fun obs ->
+      List.iter
+        (fun sol ->
+          Obs.observe obs (obs_prefix ^ "/solution_size") (List.length sol))
+        r.solutions;
+      Telemetry.record_run obs ~prefix:obs_prefix
+        ~solutions:(List.length r.solutions) ~solver_calls:r.solver_calls
+        ~truncated:r.truncated r.stats;
+      Obs.record_span obs (obs_prefix ^ "/cnf") r.cnf_time;
+      Obs.record_span obs (obs_prefix ^ "/solve") r.all_time)
+    obs;
+  r
 
 let first_solution ?candidates ?force_zero ?hints ~k c tests =
   let r = diagnose ?candidates ?force_zero ?hints ~max_solutions:1 ~k c tests in

@@ -7,26 +7,12 @@
     valid corrections containing only essential candidates up to size k
     (Lemmas 1 and 3). *)
 
-type result = {
-  solutions : int list list;
-      (** essential valid corrections, each sorted, in canonical
-          (cardinality, then lexicographic) order ({!Solutions}) *)
-  cnf_time : float;           (** instance construction (paper "CNF") *)
-  one_time : float;           (** time to the first solution (paper "One") *)
-  all_time : float;           (** full enumeration time (paper "All") *)
-  truncated : bool;
-      (** hit [max_solutions], [time_limit] or the solver budget; the
-          enumerated prefix is still sound (every solution valid) *)
-  solver_calls : int;         (** SAT oracle invocations *)
-  stats : Sat.Solver.stats;   (** solver counters, for the hybrid ablation *)
-  cert_checks : int;
-      (** with [certify]: solver answers independently verified (0
-          otherwise); in a portfolio, summed over the workers *)
-  cert_failures : string list;
-      (** with [certify]: verification failures — [[]] on a healthy
-          build.  A non-empty list means a solver or checker bug; the
-          diagnosis result itself is unchanged. *)
-}
+include module type of struct include Enumeration.Outcome end
+
+type result = unit outcome
+(** BSAT reports the shared {!Enumeration.Outcome.outcome} record and
+    nothing beside it.  In a portfolio, [cert_checks] and the solver
+    counters are summed over the workers. *)
 
 type hints = {
   priority : (int * float) list;
@@ -37,15 +23,9 @@ type hints = {
 
 val no_hints : hints
 
-type strategy =
-  | Incremental_k
-      (** Figure 3 verbatim: limits 1..k, blocking at each level. *)
-  | Minimize_single_pass
-      (** The advanced approach's all-solutions mode: one pass at limit k;
-          each model's select set is shrunk to an essential subset inside
-          the same instance (assumption-based) before being blocked.
-          Returns the same solution set with fewer solver calls when
-          solutions are sparse. *)
+type strategy = Enumeration.strategy =
+  | Incremental_k  (** Figure 3 verbatim: limits 1..k *)
+  | Minimize_single_pass  (** one pass at limit k, models shrunk *)
 
 val diagnose :
   ?candidates:int list ->
@@ -53,7 +33,6 @@ val diagnose :
   ?hints:hints ->
   ?strategy:strategy ->
   ?max_solutions:int ->
-  ?time_limit:float ->
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?obs_prefix:string ->
@@ -65,7 +44,8 @@ val diagnose :
   result
 (** [candidates] restricts the multiplexer sites (advanced approaches);
     [force_zero] adds the s=0 ⇒ c=0 pruning clauses; [hints] biases the
-    solver's decision heuristic (the §6 hybrid).
+    solver's decision heuristic (the §6 hybrid).  The enumeration
+    itself is {!Enumeration.enumerate}.
 
     [certify] (default false) independently verifies every solver answer
     behind the enumeration ({!Encode.Muxed.build}'s certification mode):
@@ -83,8 +63,8 @@ val diagnose :
     algorithm, charge one shared (atomic) [budget], and the merged
     solution list — union, filtered to inclusion-minimal sets, in
     canonical order — equals the [jobs = 1] list exactly whenever the
-    enumeration is not truncated.  Under truncation ([max_solutions],
-    [time_limit] or budget exhaustion) the portfolio still returns a
+    enumeration is not truncated.  Under truncation ([max_solutions] or
+    budget exhaustion) the portfolio still returns a
     sound subset of the essential solutions — workers report the deepest
     cardinality level they enumerated to completion and the merge keeps
     only solutions one above the *minimum* such level, so a correction
@@ -98,13 +78,12 @@ val diagnose :
     sequential run; worker event streams are merged into [obs] tagged
     with their domain id.
 
-    [budget] caps total solver effort across the whole enumeration —
-    unlike [time_limit] (checked only between solver calls) it is
-    enforced *inside* the CDCL loop, so a single hard call cannot
-    overshoot it unboundedly.  On exhaustion the result is flagged
-    [truncated] and contains the solutions found so far (each one still
-    a valid correction).  Conflict/propagation budgets are deterministic
-    under a fixed seed.
+    [budget] caps total solver effort across the whole enumeration.  It
+    is enforced {e inside} the CDCL loop, so a single hard call cannot
+    overshoot it unboundedly; a [seconds] allowance reads the wall
+    clock.  On exhaustion the result is flagged [truncated] and contains
+    the solutions found so far (each one still a valid correction).
+    Conflict/propagation budgets are deterministic under a fixed seed.
 
     [obs] records the run under ["<obs_prefix>/..."] counters and spans
     (default prefix ["bsat"]), brackets instance construction and the

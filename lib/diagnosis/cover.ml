@@ -63,8 +63,8 @@ let build_cover_instance ~k sets =
 
 (* Enumerate the irredundant covers reachable under [extra] assumptions,
    blocking each recorded core; [record] returns false to stop early. *)
-let enumerate_cover_cubes ~k ~out_of_budget ~record (union, index, solver, vars, counter)
-    ~cubes sets =
+let enumerate_cover_cubes ~k ~budget ~out_of_budget ~record
+    (union, index, solver, vars, counter) ~cubes sets =
   let truncated = ref false in
   let bound = min k (Array.length union) in
   List.iter
@@ -72,7 +72,7 @@ let enumerate_cover_cubes ~k ~out_of_budget ~record (union, index, solver, vars,
       for i = 1 to bound do
         let continue_level = ref true in
         while !continue_level do
-          if out_of_budget () then begin
+          if out_of_budget () || Sat.Budget.exhausted budget then begin
             truncated := true;
             continue_level := false
           end
@@ -80,9 +80,12 @@ let enumerate_cover_cubes ~k ~out_of_budget ~record (union, index, solver, vars,
             let assumptions =
               cube @ Encode.Cardinality.bound_assumption counter i
             in
-            match Sat.Solver.solve ~assumptions solver with
-            | Sat.Solver.Unsat -> continue_level := false
-            | Sat.Solver.Sat ->
+            match Sat.Solver.solve_limited ~assumptions ~budget solver with
+            | Sat.Solver.Unknown ->
+                truncated := true;
+                continue_level := false
+            | Sat.Solver.Solved Sat.Solver.Unsat -> continue_level := false
+            | Sat.Solver.Solved Sat.Solver.Sat ->
                 let sol = ref [] in
                 Array.iteri
                   (fun j v ->
@@ -106,37 +109,19 @@ let enumerate_cover_cubes ~k ~out_of_budget ~record (union, index, solver, vars,
     cubes;
   !truncated
 
-let enumerate_sat ?(jobs = 1) ~max_solutions ~time_limit ~k sets =
+let enumerate_sat ?(jobs = 1) ~max_solutions ~budget ~k sets =
   if covers [] sets then
     (* no sets to hit (m = 0): the empty cover is the unique irredundant
        solution, exactly as the backtrack engine reports it *)
     ([ [] ], 0.0, 0.0, false)
-  else if jobs = 1 then begin
-    let inst = build_cover_instance ~k sets in
-    let start = Sys.time () in
-    let solutions = ref [] in
-    let nsol = ref 0 in
-    let one_time = ref 0.0 in
-    let out_of_budget () =
-      !nsol >= max_solutions || Sys.time () -. start > time_limit
-    in
-    let record sol =
-      if !nsol = 0 then one_time := Sys.time () -. start;
-      solutions := sol :: !solutions;
-      incr nsol
-    in
-    let truncated =
-      enumerate_cover_cubes ~k ~out_of_budget ~record inst ~cubes:[ [] ] sets
-    in
-    (Solutions.canonical !solutions, !one_time, Sys.time () -. start, truncated)
-  end
   else begin
     (* Cube partition over the first L union variables, cube [j] to
-       worker [j mod jobs].  Irredundant covers of a monotone covering
-       problem form an antichain, so every recorded core is globally
-       irredundant wherever it is found, and the deduplicated union over
-       cubes is exactly the sequential solution set. *)
-    let start = Sys.time () in
+       worker [j mod jobs] (one empty cube at [jobs = 1]).  Irredundant
+       covers of a monotone covering problem form an antichain, so
+       every recorded core is globally irredundant wherever it is found,
+       and the deduplicated union over cubes is exactly the sequential
+       solution set. *)
+    let start = Obs.Clock.wall () in
     let found = Atomic.make 0 in
     let worker w =
       let ((union, _, _, vars, _) as inst) = build_cover_instance ~k sets in
@@ -144,32 +129,26 @@ let enumerate_sat ?(jobs = 1) ~max_solutions ~time_limit ~k sets =
         let rec fit l = if 1 lsl l >= jobs then l else fit (l + 1) in
         min (fit 0) (Array.length union)
       in
-      let ncubes = 1 lsl l in
-      let rec my_cubes j =
-        if j >= ncubes then []
-        else
-          List.init l (fun i ->
-              let lit = Lit.pos vars.(i) in
-              if j land (1 lsl i) <> 0 then lit else Lit.negate lit)
-          :: my_cubes (j + jobs)
+      let cubes =
+        List.init (1 lsl l) Fun.id
+        |> List.filter (fun j -> j mod jobs = w)
+        |> List.map (fun j ->
+               List.init l (fun i ->
+                   let lit = Lit.pos vars.(i) in
+                   if j land (1 lsl i) <> 0 then lit else Lit.negate lit))
       in
-      let wstart = Obs.Clock.wall () in
       let sols = ref [] in
-      let one_time = ref 0.0 in
-      let out_of_budget () =
-        Atomic.get found >= max_solutions
-        || Obs.Clock.wall () -. wstart > time_limit
-      in
+      let first_at = ref infinity in
+      let out_of_budget () = Atomic.get found >= max_solutions in
       let record sol =
-        if !sols = [] then one_time := Obs.Clock.wall () -. wstart;
+        if !sols = [] then first_at := Obs.Clock.wall ();
         sols := sol :: !sols;
         Atomic.incr found
       in
       let truncated =
-        enumerate_cover_cubes ~k ~out_of_budget ~record inst ~cubes:(my_cubes w)
-          sets
+        enumerate_cover_cubes ~k ~budget ~out_of_budget ~record inst ~cubes sets
       in
-      (!sols, truncated, !one_time)
+      (!sols, truncated, !first_at)
     in
     let results = Par.run ~jobs worker in
     let merged =
@@ -181,24 +160,20 @@ let enumerate_sat ?(jobs = 1) ~max_solutions ~time_limit ~k sets =
       Array.exists (fun (_, tr, _) -> tr) results
       || List.length merged > max_solutions
     in
-    let solutions =
-      if List.length merged > max_solutions then
-        List.filteri (fun i _ -> i < max_solutions) merged
-      else merged
+    let solutions = List.filteri (fun i _ -> i < max_solutions) merged in
+    let first_at =
+      Array.fold_left (fun acc (_, _, t) -> Float.min acc t) infinity results
     in
     let one_time =
-      Array.fold_left
-        (fun acc (sols, _, ot) -> if sols = [] then acc else Float.min acc ot)
-        infinity results
+      if Float.is_finite first_at then first_at -. start else 0.0
     in
-    let one_time = if Float.is_finite one_time then one_time else 0.0 in
-    (solutions, one_time, Sys.time () -. start, truncated)
+    (solutions, one_time, Obs.Clock.wall () -. start, truncated)
   end
 
 (* ---------- branch-and-bound oracle ---------- *)
 
-let enumerate_backtrack ~max_solutions ~time_limit ~k sets =
-  let start = Sys.time () in
+let enumerate_backtrack ~max_solutions ~budget ~k sets =
+  let start = Obs.Clock.wall () in
   let found = Hashtbl.create 64 in
   let solutions = ref [] in
   let one_time = ref 0.0 in
@@ -206,15 +181,14 @@ let enumerate_backtrack ~max_solutions ~time_limit ~k sets =
   let record sol =
     let key = List.sort Int.compare sol in
     if (not (Hashtbl.mem found key)) && irredundant key sets then begin
-      if Hashtbl.length found = 0 then one_time := Sys.time () -. start;
+      if Hashtbl.length found = 0 then one_time := Obs.Clock.wall () -. start;
       Hashtbl.add found key ();
       solutions := key :: !solutions
     end
   in
   let exception Budget in
   let rec go chosen =
-    if Hashtbl.length found >= max_solutions
-       || Sys.time () -. start > time_limit
+    if Hashtbl.length found >= max_solutions || Sat.Budget.exhausted budget
     then begin
       truncated := true;
       raise Budget
@@ -240,33 +214,36 @@ let enumerate_backtrack ~max_solutions ~time_limit ~k sets =
           smallest
   in
   (try go [] with Budget -> ());
-  (Solutions.canonical !solutions, !one_time, Sys.time () -. start, !truncated)
+  (Solutions.canonical !solutions, !one_time, Obs.Clock.wall () -. start,
+   !truncated)
 
-let enumerate ?(engine = Sat_engine) ?(max_solutions = max_int)
-    ?(time_limit = infinity) ?(jobs = 1) ~k sets =
+let run_engine ~engine ~max_solutions ~budget ~jobs ~k sets =
+  let budget =
+    match budget with Some b -> b | None -> Sat.Budget.unlimited ()
+  in
+  match engine with
+  | Sat_engine -> enumerate_sat ~jobs ~max_solutions ~budget ~k sets
+  | Backtrack_engine -> enumerate_backtrack ~max_solutions ~budget ~k sets
+
+let enumerate ?(engine = Sat_engine) ?(max_solutions = max_int) ?budget
+    ?(jobs = 1) ~k sets =
   let jobs = Par.clamp_jobs jobs in
   let solutions, _, _, truncated =
-    match engine with
-    | Sat_engine -> enumerate_sat ~jobs ~max_solutions ~time_limit ~k sets
-    | Backtrack_engine -> enumerate_backtrack ~max_solutions ~time_limit ~k sets
+    run_engine ~engine ~max_solutions ~budget ~jobs ~k sets
   in
   (solutions, truncated)
 
 let diagnose ?(engine = Sat_engine) ?tie_break ?(max_solutions = max_int)
-    ?(time_limit = infinity) ?obs ?(jobs = 1) ~k c tests =
+    ?budget ?obs ?(jobs = 1) ~k c tests =
   let jobs = Par.clamp_jobs jobs in
-  let t0 = Sys.time () in
+  let t0 = Obs.Clock.wall () in
   let bsim = Bsim.diagnose ?tie_break ?obs ~jobs c tests in
   let sets = bsim.Bsim.candidate_sets in
-  let cnf_time = Sys.time () -. t0 in
+  let cnf_time = Obs.Clock.wall () -. t0 in
   let solutions, one_time, all_time, truncated =
     Telemetry.phase obs "cov/enumerate"
       ~payload:(fun (sols, _, _, _) -> List.length sols)
-      (fun () ->
-        match engine with
-        | Sat_engine -> enumerate_sat ~jobs ~max_solutions ~time_limit ~k sets
-        | Backtrack_engine ->
-            enumerate_backtrack ~max_solutions ~time_limit ~k sets)
+      (fun () -> run_engine ~engine ~max_solutions ~budget ~jobs ~k sets)
   in
   (match obs with
   | None -> ()

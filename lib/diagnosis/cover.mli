@@ -20,21 +20,26 @@ type result = {
   cnf_time : float;          (** BSIM + instance construction (paper "CNF") *)
   one_time : float;          (** time to the first solution (paper "One") *)
   all_time : float;          (** time to enumerate all (paper "All") *)
-  truncated : bool;          (** hit [max_solutions] or [time_limit] *)
+  truncated : bool;          (** hit [max_solutions] or the budget *)
 }
 
 val diagnose :
   ?engine:engine ->
   ?tie_break:Path_trace.tie_break ->
   ?max_solutions:int ->
-  ?time_limit:float ->
+  ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?jobs:int ->
   k:int ->
   Netlist.Circuit.t ->
   Sim.Testgen.test list ->
   result
-(** [obs] records the run: the underlying {!Bsim.diagnose}
+(** [budget] bounds the covering enumeration: the SAT engine charges
+    its cover solver's effort to it and both engines check it between
+    solutions.  On exhaustion the result is [truncated] and holds the
+    covers found so far.  Times are wall-clock seconds.
+
+    [obs] records the run: the underlying {!Bsim.diagnose}
     instrumentation, ["cov/enumerate"] [Begin]/[End] events ([End]
     payload = solution count), a ["cov/solution_size"] histogram and the
     ["cov/solutions"]/["cov/truncated"] counters.
@@ -54,11 +59,11 @@ val covers : int list -> int list array -> bool
 val enumerate :
   ?engine:engine ->
   ?max_solutions:int ->
-  ?time_limit:float ->
+  ?budget:Sat.Budget.t ->
   ?jobs:int ->
   k:int ->
   int list array ->
   int list list * bool
 (** Enumerate the irredundant covers of arbitrary candidate sets (used
     directly by the sequential diagnosis); returns the solutions and a
-    truncation flag. *)
+    truncation flag.  [budget] bounds it as in {!diagnose}. *)

@@ -1,20 +1,10 @@
 type heuristic = Bfs | Greedy
 
-type result = {
-  solutions : int list list;
-  cnf_time : float;
-  one_time : float;
-  all_time : float;
-  truncated : bool;
-  solver_calls : int;
-  cores : int;
-  reused : int;
-  nodes : int;
-  pruned : int;
-  stats : Sat.Solver.stats;
-  cert_checks : int;
-  cert_failures : string list;
-}
+include Enumeration.Outcome
+
+type dag = { cores : int; reused : int; nodes : int; pruned : int }
+
+type result = dag outcome
 
 (* both lists sorted ascending *)
 let rec subset a b =
@@ -36,38 +26,6 @@ let rec insert_sorted g = function
   | [] -> [ g ]
   | x :: rest as l -> if g < x then g :: l else x :: insert_sorted g rest
 
-let zero_stats =
-  Sat.Solver.
-    {
-      decisions = 0;
-      propagations = 0;
-      conflicts = 0;
-      restarts = 0;
-      learned = 0;
-      learned_total = 0;
-      deleted = 0;
-      subsumed = 0;
-      strengthened = 0;
-      vivified = 0;
-      eliminated = 0;
-    }
-
-let sum_stats (a : Sat.Solver.stats) (b : Sat.Solver.stats) =
-  Sat.Solver.
-    {
-      decisions = a.decisions + b.decisions;
-      propagations = a.propagations + b.propagations;
-      conflicts = a.conflicts + b.conflicts;
-      restarts = a.restarts + b.restarts;
-      learned = a.learned + b.learned;
-      learned_total = a.learned_total + b.learned_total;
-      deleted = a.deleted + b.deleted;
-      subsumed = a.subsumed + b.subsumed;
-      strengthened = a.strengthened + b.strengthened;
-      vivified = a.vivified + b.vivified;
-      eliminated = a.eliminated + b.eliminated;
-    }
-
 (* One solver + encoding per worker domain; [synced] counts the global
    blocking clauses already replayed into [inst]. *)
 type wstate = {
@@ -88,10 +46,10 @@ type node = { path : int list; depth : int; seq : int; prio : int }
 
 type label = Conflict of int list | Exhausted | Interrupted
 
-type outcome = { found : int list list; label : label }
+type node_result = { found : int list list; label : label }
 
 let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
-    ?(max_solutions = max_int) ?(time_limit = infinity) ?budget ?obs
+    ?(max_solutions = max_int) ?budget ?obs
     ?(obs_prefix = "hitting") ?(certify = false) ?(jobs = 1) ~k c tests =
   let budget =
     match budget with Some b -> b | None -> Sat.Budget.unlimited ()
@@ -215,9 +173,7 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
         Some best
   in
   let out_of_budget () =
-    !nsol >= max_solutions
-    || Obs.Clock.wall () -. start > time_limit
-    || Sat.Budget.exhausted budget
+    !nsol >= max_solutions || Sat.Budget.exhausted budget
   in
   (* ---- per-worker node processing ---- *)
   let sync st =
@@ -240,38 +196,6 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
       (fun l -> Hashtbl.find_opt st.ban_gate (Sat.Lit.code l))
       lits
   in
-  (* Bsat-style deletion shrink, except that a budget death mid-shrink
-     discards the set: only globally inclusion-minimal diagnoses are ever
-     recorded, so a truncated run's output stays a subset of the full
-     run's. *)
-  let shrink_solution st sol =
-    let all = Array.to_list cands in
-    let rec drop kept_rev = function
-      | [] -> Some (List.sort Int.compare (List.rev kept_rev))
-      | g :: rest -> (
-          let candidate = List.rev_append kept_rev rest in
-          let in_candidate = Hashtbl.create 16 in
-          List.iter (fun h -> Hashtbl.replace in_candidate h ()) candidate;
-          let extra =
-            List.map (Encode.Muxed.select_lit st.inst) candidate
-            @ List.filter_map
-                (fun h ->
-                  if Hashtbl.mem in_candidate h then None
-                  else
-                    Some (Sat.Lit.negate (Encode.Muxed.select_lit st.inst h)))
-                all
-          in
-          incr st.ncalls;
-          match
-            Encode.Muxed.solve_at_most_limited ~extra ~budget st.inst
-              (List.length candidate)
-          with
-          | Sat.Solver.Solved Sat.Solver.Sat -> drop kept_rev rest
-          | Sat.Solver.Solved Sat.Solver.Unsat -> drop (g :: kept_rev) rest
-          | Sat.Solver.Unknown -> None)
-    in
-    drop [] sol
-  in
   let process st path =
     let in_path = Hashtbl.create 8 in
     List.iter (fun g -> Hashtbl.replace in_path g ()) path;
@@ -282,50 +206,35 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
              else
                Some (Sat.Lit.negate (Encode.Muxed.select_lit st.inst g)))
     in
-    let stop_now () =
-      Atomic.get found >= max_solutions
-      || Obs.Clock.wall () -. start > time_limit
-      || Sat.Budget.exhausted budget
+    (* a budget death mid-shrink discards the set: only globally
+       inclusion-minimal diagnoses are ever recorded, so a truncated
+       run's output stays a subset of the full run's *)
+    let r =
+      Enumeration.enumerate ~strategy:Minimize_single_pass ~minimal_only:true
+        ~cubes:[ bans ] ~found ~max_solutions ~budget ~k st.inst
     in
-    let rec loop found_here =
-      if stop_now () then { found = List.rev found_here; label = Interrupted }
-      else begin
-        incr st.ncalls;
-        match Encode.Muxed.solve_at_most_limited ~extra:bans ~budget st.inst k with
-        | Sat.Solver.Solved Sat.Solver.Sat -> (
-            match shrink_solution st (Encode.Muxed.solution st.inst) with
-            | Some f ->
-                Encode.Muxed.block st.inst f;
-                Atomic.incr found;
-                loop (f :: found_here)
-            | None -> { found = List.rev found_here; label = Interrupted })
-        | Sat.Solver.Solved Sat.Solver.Unsat -> (
-            match gates_of st (Sat.Solver.unsat_core st.solver) with
-            | [] -> { found = List.rev found_here; label = Exhausted }
-            | gates ->
-                let lits =
-                  List.map
-                    (fun g ->
-                      Sat.Lit.negate (Encode.Muxed.select_lit st.inst g))
-                    gates
-                in
-                let shrunk =
-                  Sat.Solver.shrink_core
-                    ~solve:(fun assumptions ->
-                      incr st.ncalls;
-                      Encode.Muxed.solve_at_most_limited ~extra:assumptions
-                        ~budget st.inst k)
-                    st.solver lits
-                in
-                let cset = List.sort Int.compare (gates_of st shrunk) in
-                if cset = [] then
-                  { found = List.rev found_here; label = Exhausted }
-                else { found = List.rev found_here; label = Conflict cset })
-        | Sat.Solver.Unknown ->
-            { found = List.rev found_here; label = Interrupted }
-      end
-    in
-    loop []
+    st.ncalls := !(st.ncalls) + r.Enumeration.calls;
+    let finish label = { found = r.Enumeration.found; label } in
+    if r.Enumeration.cut then finish Interrupted
+    else
+      match gates_of st (Sat.Solver.unsat_core st.solver) with
+      | [] -> finish Exhausted
+      | gates ->
+          let lits =
+            List.map
+              (fun g -> Sat.Lit.negate (Encode.Muxed.select_lit st.inst g))
+              gates
+          in
+          let shrunk =
+            Sat.Solver.shrink_core
+              ~solve:(fun assumptions ->
+                incr st.ncalls;
+                Encode.Muxed.solve_at_most_limited ~extra:assumptions ~budget
+                  st.inst k)
+              st.solver lits
+          in
+          let cset = List.sort Int.compare (gates_of st shrunk) in
+          if cset = [] then finish Exhausted else finish (Conflict cset)
   in
   (* ---- synchronous expansion rounds ---- *)
   (* pull the next up-to-[jobs] nodes that really need a solver call,
@@ -406,8 +315,8 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
   let ncalls = Array.fold_left (fun a st -> a + !(st.ncalls)) 0 states in
   let stats =
     Array.fold_left
-      (fun a st -> sum_stats a (Sat.Solver.stats st.solver))
-      zero_stats states
+      (fun a st -> Sat.Solver.sum_stats a (Sat.Solver.stats st.solver))
+      Sat.Solver.zero_stats states
   in
   let cert_checks =
     Array.fold_left (fun a st -> a + Encode.Muxed.cert_checks st.inst) 0 states
@@ -446,11 +355,8 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
     all_time;
     truncated = !truncated;
     solver_calls = ncalls;
-    cores = !cores;
-    reused = !reused;
-    nodes = !nodes;
-    pruned = !pruned;
     stats;
     cert_checks;
     cert_failures;
+    extra = { cores = !cores; reused = !reused; nodes = !nodes; pruned = !pruned };
   }

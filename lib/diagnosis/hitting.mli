@@ -31,29 +31,27 @@ type heuristic =
           frequent element across extracted conflict sets first, and
           order children the same way — hits many conflicts early *)
 
-type result = {
-  solutions : int list list;  (** canonical minimal diagnoses *)
-  cnf_time : float;
-  one_time : float;   (** time to the first recorded diagnosis *)
-  all_time : float;
-  truncated : bool;
-  solver_calls : int;
-  cores : int;        (** conflict sets extracted from unsat cores *)
-  reused : int;       (** node labels served from known conflict sets *)
-  nodes : int;        (** HSDAG nodes checked with a solver call *)
-  pruned : int;       (** nodes closed without a check (duplicate set,
-                          or the set contains a recorded diagnosis) *)
-  stats : Sat.Solver.stats;
-  cert_checks : int;
-  cert_failures : string list;
+include module type of struct include Enumeration.Outcome end
+
+type dag = {
+  cores : int;  (** conflict sets extracted from unsat cores *)
+  reused : int;  (** node labels served from known conflict sets *)
+  nodes : int;  (** HSDAG nodes checked with a solver call *)
+  pruned : int;
+      (** nodes closed without a check (duplicate set, or the set
+          contains a recorded diagnosis) *)
 }
+
+type result = dag outcome
+(** The shared outcome record, [solutions] being the canonical minimal
+    diagnoses and [one_time] the time to the first recorded one, with
+    the HSDAG counters as [extra]. *)
 
 val diagnose :
   ?candidates:int list ->
   ?force_zero:bool ->
   ?heuristic:heuristic ->
   ?max_solutions:int ->
-  ?time_limit:float ->
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?obs_prefix:string ->
@@ -68,8 +66,8 @@ val diagnose :
     [obs_prefix = "hitting"].
 
     [budget] caps total solver effort across every node check, core
-    shrink and diagnosis shrink; on exhaustion (or [max_solutions] /
-    [time_limit]) the run stops with [truncated = true] and the
+    shrink and diagnosis shrink; on exhaustion (or at [max_solutions])
+    the run stops with [truncated = true] and the
     solutions recorded so far — each still a genuine minimal diagnosis,
     so the truncated list is a subset of the full run's.  A diagnosis
     whose minimization was cut off mid-shrink is discarded rather than

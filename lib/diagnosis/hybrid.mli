@@ -23,7 +23,6 @@ type guided_result = {
 
 val guided :
   ?max_solutions:int ->
-  ?time_limit:float ->
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?jobs:int ->

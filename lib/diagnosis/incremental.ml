@@ -91,41 +91,14 @@ let solutions ?(max_solutions = max_int) ?budget ?(jobs = 1) t =
   (* guard this enumeration's blocking clauses so the next call (after
      more tests arrived) starts from a clean solution space *)
   let active = Encode.Muxed.fresh_activation t.inst in
-  let solutions = ref [] in
-  let nsol = ref 0 in
-  let truncated = ref false in
-  let stop = ref false in
-  for i = 1 to t.k do
-    let continue_level = ref (not !stop) in
-    while !continue_level do
-      if !nsol >= max_solutions || Sat.Budget.exhausted budget then begin
-        (* the cap counts as truncation, like Bsat's [out_of_budget] —
-           the jobs>1 portfolio path already reports it that way *)
-        truncated := true;
-        stop := true;
-        continue_level := false
-      end
-      else
-        match
-          Encode.Muxed.solve_at_most_limited ~extra:[ active ] ~budget t.inst i
-        with
-        | Sat.Solver.Solved Sat.Solver.Unsat -> continue_level := false
-        | Sat.Solver.Solved Sat.Solver.Sat ->
-            let sol = Encode.Muxed.solution t.inst in
-            solutions := sol :: !solutions;
-            incr nsol;
-            Encode.Muxed.block ~unless:active t.inst sol
-        | Sat.Solver.Unknown ->
-            truncated := true;
-            stop := true;
-            continue_level := false
-    done
-  done;
+  let r =
+    Enumeration.enumerate ~guard:active ~max_solutions ~budget ~k:t.k t.inst
+  in
   (* retire the guard permanently — through the instance's emit hook so
      the certification checker sees the unit clause too *)
   Encode.Muxed.assert_clause t.inst [ Sat.Lit.negate active ];
-  t.last_truncated <- !truncated;
-  Solutions.canonical (List.rev !solutions)
+  t.last_truncated <- r.Enumeration.cut;
+  Solutions.canonical r.Enumeration.found
 
 let last_truncated t = t.last_truncated
 

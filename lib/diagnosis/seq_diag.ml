@@ -1,14 +1,11 @@
 module Sequential = Sim.Sequential
 module Circuit = Netlist.Circuit
 
-type result = {
-  solutions : int list list;
-  frames : int;
-  cnf_time : float;
-  one_time : float;
-  all_time : float;
-  truncated : bool;
-}
+include Enumeration.Outcome
+
+type unrolling = { frames : int }
+
+type result = unrolling outcome
 
 let frames_of_tests tests =
   match tests with
@@ -47,9 +44,11 @@ let core_groups s (u : Sequential.unrolled) =
   |> List.map (fun g ->
          List.init u.Sequential.frames (fun f -> u.Sequential.gate_of ~frame:f g))
 
-let diagnose_bsat ?(max_solutions = max_int) ?(time_limit = infinity) ~k s
-    tests =
-  let t0 = Sys.time () in
+let diagnose_bsat ?max_solutions ?budget ~k s tests =
+  let budget =
+    match budget with Some b -> b | None -> Sat.Budget.unlimited ()
+  in
+  let t0 = Obs.Clock.wall () in
   let frames = frames_of_tests tests in
   let u = Sequential.unroll s ~frames in
   let comb_tests = List.map (to_comb_test s u) tests in
@@ -58,38 +57,21 @@ let diagnose_bsat ?(max_solutions = max_int) ?(time_limit = infinity) ~k s
     Encode.Muxed.build ~groups:(core_groups s u) ~force_zero:true ~max_k:k
       solver u.Sequential.circuit comb_tests
   in
-  let cnf_time = Sys.time () -. t0 in
-  let start = Sys.time () in
-  let solutions = ref [] in
-  let nsol = ref 0 in
-  let one_time = ref 0.0 in
-  let truncated = ref false in
-  for i = 1 to k do
-    let continue_level = ref true in
-    while !continue_level do
-      if !nsol >= max_solutions || Sys.time () -. start > time_limit then begin
-        truncated := true;
-        continue_level := false
-      end
-      else
-        match Encode.Muxed.solve_at_most inst i with
-        | Sat.Solver.Unsat -> continue_level := false
-        | Sat.Solver.Sat ->
-            (* group representatives are the frame-0 copies = core ids *)
-            let sol = Encode.Muxed.solution inst in
-            if !nsol = 0 then one_time := Sys.time () -. start;
-            solutions := sol :: !solutions;
-            incr nsol;
-            Encode.Muxed.block inst sol
-    done
-  done;
+  let start = Obs.Clock.wall () in
+  (* group representatives are the frame-0 copies = core ids *)
+  let r = Enumeration.enumerate ?max_solutions ~budget ~k inst in
   {
-    solutions = List.rev !solutions;
-    frames;
-    cnf_time;
-    one_time = !one_time;
-    all_time = Sys.time () -. start;
-    truncated = !truncated;
+    solutions = Solutions.canonical r.Enumeration.found;
+    cnf_time = start -. t0;
+    one_time =
+      Option.fold ~none:0.0 ~some:(fun t -> t -. start) r.Enumeration.first_at;
+    all_time = Obs.Clock.wall () -. start;
+    truncated = r.Enumeration.cut;
+    solver_calls = r.Enumeration.calls;
+    stats = Sat.Solver.stats solver;
+    cert_checks = 0;
+    cert_failures = [];
+    extra = { frames };
   }
 
 (* Frame f>0 copies of state bits are Buf gates the tracer may mark; they
@@ -108,9 +90,9 @@ let bsim s tests =
   let r = Bsim.diagnose u.Sequential.circuit comb_tests in
   Array.map (fold_to_core s) r.Bsim.candidate_sets
 
-let diagnose_cov ?max_solutions ?time_limit ~k s tests =
+let diagnose_cov ?max_solutions ?budget ~k s tests =
   let sets = bsim s tests in
-  fst (Cover.enumerate ?max_solutions ?time_limit ~k sets)
+  fst (Cover.enumerate ?max_solutions ?budget ~k sets)
 
 type distinguishing =
   | Separating of bool array array

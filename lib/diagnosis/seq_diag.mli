@@ -8,24 +8,26 @@
     share one correction select line (a design error is present in every
     frame), so the at-most-k bound counts *core* gates. *)
 
-type result = {
-  solutions : int list list;   (** core gate ids, essential, valid *)
-  frames : int;
-  cnf_time : float;
-  one_time : float;
-  all_time : float;
-  truncated : bool;
-}
+include module type of struct include Enumeration.Outcome end
+
+type unrolling = { frames : int }  (** the test sequences' length *)
+
+type result = unrolling outcome
+(** [solutions] are core gate ids, essential and valid; no
+    certification ([cert_checks = 0]). *)
 
 val diagnose_bsat :
   ?max_solutions:int ->
-  ?time_limit:float ->
+  ?budget:Sat.Budget.t ->
   k:int ->
   Sim.Sequential.t ->
   Sim.Seq_testgen.test list ->
   result
-(** BSAT on the unrolled machine.  All tests must share one sequence
-    length.  @raise Invalid_argument otherwise or on an empty test list. *)
+(** BSAT on the unrolled machine ({!Enumeration.enumerate}), solutions
+    in canonical order.  [budget] caps solver effort; on exhaustion (or
+    at [max_solutions]) the result is [truncated] and holds the
+    solutions found so far.  All tests must share one sequence length.
+    @raise Invalid_argument otherwise or on an empty test list. *)
 
 val bsim : Sim.Sequential.t -> Sim.Seq_testgen.test list -> int list array
 (** Sequential BSIM: path tracing on the unrolled machine, candidate
@@ -33,12 +35,13 @@ val bsim : Sim.Sequential.t -> Sim.Seq_testgen.test list -> int list array
 
 val diagnose_cov :
   ?max_solutions:int ->
-  ?time_limit:float ->
+  ?budget:Sat.Budget.t ->
   k:int ->
   Sim.Sequential.t ->
   Sim.Seq_testgen.test list ->
   int list list
-(** Sequential COV: set covering over the folded candidate sets. *)
+(** Sequential COV: set covering over the folded candidate sets
+    ({!Cover.enumerate}, [budget] included). *)
 
 val check :
   Sim.Sequential.t -> Sim.Seq_testgen.test list -> int list -> bool

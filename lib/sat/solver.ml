@@ -780,9 +780,13 @@ let gc_arena s =
    strengthened clause whose Add/Delete pair was just emitted).
    Normalizes against the root assignment — inprocessing propagation may
    have assigned some of its literals since the codes were computed, and
-   a watched root-false literal would never be woken again.  Emits no
-   Add step; only a root conflict surfaces in the proof (as the empty
-   clause, a genuine RUP consequence at that point).  When [occs] is
+   a watched root-false literal would never be woken again.  A stored
+   clause that lost root-false literals is logged in its shortened form
+   (a RUP consequence of the original and the root units) and the
+   original is deleted, so the checker's database holds exactly the
+   clause a later [reduce_db] deletion will name.  Otherwise no Add step
+   is emitted; a root conflict surfaces in the proof as the empty
+   clause, a genuine RUP consequence at that point.  When [occs] is
    given, the fresh clause joins the occurrence lists so later passes
    see the complete live database. *)
 let install_simplified s codes ~learnt ~act occs =
@@ -809,6 +813,10 @@ let install_simplified s codes ~learnt ~act occs =
           end
       | lits ->
           let arr = Array.of_list lits in
+          if Array.length arr < Array.length codes then begin
+            proof_add s arr;
+            proof_delete s codes
+          end;
           let cr = alloc_clause s arr ~learnt in
           s.acts.(cr) <- act;
           ivec_push (if learnt then s.learnts else s.clauses) cr;
@@ -1505,6 +1513,36 @@ let stats s =
     strengthened = s.s_strengthened;
     vivified = s.s_vivified;
     eliminated = s.s_eliminated;
+  }
+
+let zero_stats =
+  {
+    decisions = 0;
+    propagations = 0;
+    conflicts = 0;
+    restarts = 0;
+    learned = 0;
+    learned_total = 0;
+    deleted = 0;
+    subsumed = 0;
+    strengthened = 0;
+    vivified = 0;
+    eliminated = 0;
+  }
+
+let sum_stats a b =
+  {
+    decisions = a.decisions + b.decisions;
+    propagations = a.propagations + b.propagations;
+    conflicts = a.conflicts + b.conflicts;
+    restarts = a.restarts + b.restarts;
+    learned = a.learned + b.learned;
+    learned_total = a.learned_total + b.learned_total;
+    deleted = a.deleted + b.deleted;
+    subsumed = a.subsumed + b.subsumed;
+    strengthened = a.strengthened + b.strengthened;
+    vivified = a.vivified + b.vivified;
+    eliminated = a.eliminated + b.eliminated;
   }
 
 let set_default_phase s v b =

@@ -126,6 +126,13 @@ val stats : t -> stats
     this solver.  [learned] is a gauge (current DB size); the others are
     monotonic. *)
 
+val zero_stats : stats
+(** All counters zero: the unit of {!sum_stats}. *)
+
+val sum_stats : stats -> stats -> stats
+(** Field-wise sum — the combined effort of several solvers (a
+    portfolio's workers, a multi-pass engine). *)
+
 val simplify : t -> unit
 (** Run one inprocessing pass at the root level: drop root-satisfied
     clauses, backward (self-)subsumption, bounded clause vivification

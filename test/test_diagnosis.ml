@@ -486,6 +486,62 @@ let test_incremental_budget () =
   Alcotest.(check bool) "no solutions lost" true
     (List.length full >= List.length partial)
 
+let test_bsat_wall_budget_widths () =
+  (* an uncapped run that takes over a minute; a 50 ms wall-clock
+     budget must cut it short at jobs 1 and at jobs 4 alike, well within
+     a generous bound (encoding is outside the budget's control) *)
+  let golden = Bench_suite.Embedded.by_name "g6669" ~scale:0.12 in
+  let faulty, _ = Sim.Injector.inject ~seed:405346012 ~num_errors:3 golden in
+  let tests =
+    Sim.Testgen.generate ~seed:405346013 ~max_vectors:(1 lsl 16) ~wanted:16
+      ~golden ~faulty
+  in
+  List.iter
+    (fun jobs ->
+      let budget = Sat.Budget.create ~seconds:0.05 () in
+      let t0 = Obs.Clock.wall () in
+      let r = Diagnosis.Bsat.diagnose ~budget ~jobs ~k:3 faulty tests in
+      let wall = Obs.Clock.wall () -. t0 in
+      let tag = Printf.sprintf "jobs %d" jobs in
+      Alcotest.(check bool) (tag ^ ": truncated") true r.Diagnosis.Bsat.truncated;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: stopped after %.3f s" tag wall)
+        true (wall < 10.0);
+      List.iter
+        (fun sol ->
+          Alcotest.(check bool) (tag ^ ": partial solution valid") true
+            (Diagnosis.Validity.check_sat faulty tests sol))
+        r.Diagnosis.Bsat.solutions)
+    [ 1; 4 ]
+
+let test_sim_engines_exhausted_budget () =
+  let _, faulty, _, tests = workload 28 2 in
+  let spent () = Sat.Budget.create ~seconds:0.0 () in
+  List.iter
+    (fun engine ->
+      let r =
+        Diagnosis.Cover.diagnose ~engine ~budget:(spent ()) ~k:2 faulty tests
+      in
+      Alcotest.(check bool) "COV truncated" true r.Diagnosis.Cover.truncated;
+      Alcotest.(check (list (list int))) "COV found nothing" []
+        r.Diagnosis.Cover.solutions)
+    [ Diagnosis.Cover.Sat_engine; Diagnosis.Cover.Backtrack_engine ];
+  let r = Diagnosis.Advanced_sim.diagnose ~budget:(spent ()) ~k:2 faulty tests in
+  Alcotest.(check bool) "advanced-sim truncated" true
+    r.Diagnosis.Advanced_sim.truncated;
+  Alcotest.(check (list (list int))) "advanced-sim found nothing" []
+    r.Diagnosis.Advanced_sim.solutions;
+  (* a budget that runs out mid-search keeps what was found: every cover
+     irredundant, every correction valid *)
+  let tight = Sat.Budget.create ~conflicts:1 () in
+  let r = Diagnosis.Cover.diagnose ~budget:tight ~k:2 faulty tests in
+  let full = Diagnosis.Cover.diagnose ~k:2 faulty tests in
+  List.iter
+    (fun sol ->
+      Alcotest.(check bool) "partial cover in the full set" true
+        (List.mem sol full.Diagnosis.Cover.solutions))
+    r.Diagnosis.Cover.solutions
+
 (* ---------- advanced approaches ---------- *)
 
 let prop_bsat_strategies_agree =
@@ -1103,6 +1159,10 @@ let () =
             test_hybrid_repair_exhausted_budget;
           Alcotest.test_case "incremental budget" `Quick
             test_incremental_budget;
+          Alcotest.test_case "bsat wall budget at jobs 1 and 4" `Quick
+            test_bsat_wall_budget_widths;
+          Alcotest.test_case "simulation engines honour the budget" `Quick
+            test_sim_engines_exhausted_budget;
         ] );
       ( "hybrid",
         [ Alcotest.test_case "repair fig5a" `Quick test_hybrid_repair_fig5a ] );

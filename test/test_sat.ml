@@ -699,6 +699,24 @@ let test_simplify_unsat_certified () =
   | Ok () -> ()
   | Error m -> Alcotest.fail ("backward check failed: " ^ m)
 
+let test_simplify_root_false_strengthened () =
+  (* random 3-SAT at the threshold: enough conflicts for subsumption to
+     strengthen clauses that already hold root-false literals.  Every
+     proof step must replay, deletions included — the checker must hold
+     exactly the clause a later DB reduction deletes *)
+  let rng = Random.State.make [| 0x5ab |] in
+  for _ = 1 to 12 do
+    let n = 150 in
+    let lists =
+      List.init (n * 426 / 100) (fun _ ->
+          List.init 3 (fun _ ->
+              let v = 1 + Random.State.int rng n in
+              if Random.State.bool rng then v else -v))
+    in
+    let _, proof = solve_with_proof lists [] in
+    ignore (replay_proof_incrementally lists proof)
+  done
+
 (* ---------- CDCL vs DPLL on random formulas ---------- *)
 
 let random_cnf_gen =
@@ -1099,6 +1117,8 @@ let () =
             test_simplify_restore_on_demand;
           Alcotest.test_case "unsat stays certified" `Quick
             test_simplify_unsat_certified;
+          Alcotest.test_case "root-false strengthening replays" `Quick
+            test_simplify_root_false_strengthened;
         ] );
       ("properties", qsuite);
     ]

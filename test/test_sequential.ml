@@ -132,6 +132,9 @@ let test_seq_bsat_finds_site () =
     let _, faulty, errors, tests = seq_workload seed in
     if tests <> [] then begin
       let r = Diagnosis.Seq_diag.diagnose_bsat ~k:1 faulty tests in
+      Alcotest.(check (list (list int))) "canonical order"
+        (Diagnosis.Solutions.canonical r.Diagnosis.Seq_diag.solutions)
+        r.Diagnosis.Seq_diag.solutions;
       let site = List.hd (Sim.Fault.sites errors) in
       (* completeness: the real site is a valid correction of size 1, so
          BSAT must return it (possibly among others) *)
@@ -149,9 +152,35 @@ let test_seq_bsat_solutions_valid () =
     let _, faulty, _, tests = seq_workload seed in
     if tests <> [] then begin
       let r = Diagnosis.Seq_diag.diagnose_bsat ~k:1 faulty tests in
+      Alcotest.(check (list (list int))) "canonical order"
+        (Diagnosis.Solutions.canonical r.Diagnosis.Seq_diag.solutions)
+        r.Diagnosis.Seq_diag.solutions;
       List.iter
         (fun sol ->
           Alcotest.(check bool) "valid sequential correction" true
+            (Diagnosis.Seq_diag.check faulty tests sol))
+        r.Diagnosis.Seq_diag.solutions
+    end
+  done
+
+let test_seq_bsat_budget () =
+  for seed = 1 to 6 do
+    let _, faulty, _, tests = seq_workload seed in
+    if tests <> [] then begin
+      (* born exhausted: no solver call is admitted *)
+      let budget = Sat.Budget.create ~seconds:0.0 () in
+      let r = Diagnosis.Seq_diag.diagnose_bsat ~budget ~k:1 faulty tests in
+      Alcotest.(check bool) "truncated" true r.Diagnosis.Seq_diag.truncated;
+      Alcotest.(check int) "no solver call" 0 r.Diagnosis.Seq_diag.solver_calls;
+      Alcotest.(check (list (list int))) "nothing found" []
+        r.Diagnosis.Seq_diag.solutions;
+      (* a cap cuts the enumeration to a valid prefix *)
+      let r = Diagnosis.Seq_diag.diagnose_bsat ~max_solutions:1 ~k:1 faulty tests in
+      Alcotest.(check bool) "at most one" true
+        (List.length r.Diagnosis.Seq_diag.solutions <= 1);
+      List.iter
+        (fun sol ->
+          Alcotest.(check bool) "capped solution valid" true
             (Diagnosis.Seq_diag.check faulty tests sol))
         r.Diagnosis.Seq_diag.solutions
     end
@@ -219,6 +248,8 @@ let () =
             test_seq_bsat_finds_site;
           Alcotest.test_case "BSAT solutions valid" `Quick
             test_seq_bsat_solutions_valid;
+          Alcotest.test_case "BSAT budget and cap" `Quick
+            test_seq_bsat_budget;
           Alcotest.test_case "BSIM contains the site" `Quick
             test_seq_bsim_contains_site;
           Alcotest.test_case "COV covers" `Quick test_seq_cov_nonempty;
