@@ -644,8 +644,8 @@ let run_cmd =
   let max_solutions = Arg.(value & opt int 1000 & info [ "max-solutions" ] ~doc:"Stop after this many solutions") in
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print a JSON block of per-engine solver counters (deterministic under a fixed seed)") in
   let trace = Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Write the run's event trace as Chrome trace_event JSON (open in chrome://tracing or Perfetto)") in
-  let budget_seconds = Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc:"Wall-clock budget for every method: SAT engines stop mid-search, simulation engines between solutions, and each returns the truncated-but-valid prefix") in
-  let budget_conflicts = Arg.(value & opt (some int) None & info [ "budget-conflicts" ] ~docv:"N" ~doc:"Total solver conflict budget across the enumeration (deterministic)") in
+  let budget_seconds = Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc:"Wall-clock budget: the SAT engines (bsat, advsat, incremental, hitting, hybrid, adaptive, cov) stop mid-search, advsim between solutions, and each returns the truncated-but-valid prefix; bsim and xlist are not bounded") in
+  let budget_conflicts = Arg.(value & opt (some int) None & info [ "budget-conflicts" ] ~docv:"N" ~doc:"Total solver conflict budget across the enumeration (deterministic); bounds only the methods that call the solver (bsat, advsat, incremental, hitting, hybrid, adaptive, cov)") in
   let certify = Arg.(value & flag & info [ "certify" ] ~doc:"Independently verify every SAT-engine solver answer (bsat/advsat): Sat by model evaluation, Unsat by DRUP-checking the solver's proof; exits 3 on a failed check") in
   Cmd.v (Cmd.info "run" ~doc:"Diagnose a faulty circuit against its golden version")
     Term.(const run_cmd_run $ circuit_pos $ faulty $ scale $ errors $ seed

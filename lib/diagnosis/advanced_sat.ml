@@ -6,15 +6,32 @@ type refinement = { pass1_solutions : int list list }
 
 type result = refinement outcome
 
+(* [then_] ran after [first] and narrowed it: its solutions, counters
+   and extra stand, the passes' calls, certifications and times add up *)
+let followed_by (first : Bsat.result) (then_ : Bsat.result) =
+  {
+    then_ with
+    cnf_time = first.cnf_time +. then_.cnf_time;
+    all_time = first.all_time +. then_.all_time;
+    truncated = first.truncated || then_.truncated;
+    solver_calls = first.solver_calls + then_.solver_calls;
+    cert_checks = first.cert_checks + then_.cert_checks;
+    cert_failures = first.cert_failures @ then_.cert_failures;
+  }
+
 (* Inner Bsat runs are deliberately not handed [obs]: their per-call
    counters would double-count against the final-pass snapshot recorded
    here.  Phase events around each pass carry the trajectory instead.
-   [t0] restates [all_time] as the whole run, preprocessing included. *)
+   [t0] restates [all_time] as the whole run, preprocessing included;
+   the refined solutions are settled only when the run ends, so that is
+   also the time to the first one. *)
 let finish obs prefix ~t0 ~pass1 (r : Bsat.result) =
+  let all_time = Obs.Clock.wall () -. t0 in
   let r =
     {
       r with
-      all_time = Obs.Clock.wall () -. t0;
+      one_time = (if r.solutions = [] then 0.0 else all_time);
+      all_time;
       extra = { pass1_solutions = pass1.Bsat.solutions };
     }
   in
@@ -54,7 +71,7 @@ let diagnose_dominators ?max_solutions ?budget ?obs ?certify ?jobs ~k c tests =
     match implicated with
     | [] -> pass1
     | _ ->
-        Enumeration.followed_by pass1
+        followed_by pass1
           (Telemetry.phase obs "advsat/pass2"
              ~payload:(fun r -> List.length r.Bsat.solutions)
              (fun () ->
@@ -104,7 +121,7 @@ let diagnose_partitioned ?(slice = 8) ?max_solutions ?budget ?obs ?certify
         match List.concat acc.solutions |> List.sort_uniq Int.compare with
         | [] -> acc
         | cands ->
-            Enumeration.followed_by acc
+            followed_by acc
               (solve_slice ~candidates:cands next_tests)
       in
       let final = List.fold_left narrow r0 rest in

@@ -25,11 +25,13 @@ type refinement = {
 }
 
 type result = refinement outcome
-(** The passes combined with {!Enumeration.followed_by}: [solutions] and
-    [stats] come from the final pass; [solver_calls], [cert_checks] and
-    [cert_failures] are summed over all passes; [truncated] is set when
-    any pass hit its budget or cap (the reported solutions are still
-    individually valid); [all_time] covers the whole run. *)
+(** The passes combined: [solutions] and [stats] come from the final
+    pass; [solver_calls], [cert_checks], [cert_failures] and [cnf_time]
+    are summed over all passes; [truncated] is set when any pass hit its
+    budget or cap (the reported solutions are still individually valid);
+    [all_time] covers the whole run.  The refined solutions are settled
+    only when the run ends, so [one_time] equals [all_time] when a
+    solution was found and is [0.0] otherwise. *)
 
 val diagnose_dominators :
   ?max_solutions:int ->

@@ -75,30 +75,16 @@ let run_worker ~candidates ~force_zero ~hints ~strategy ~max_solutions ~budget
     Enumeration.enumerate ~strategy ~cubes ~found ~max_solutions ~budget ~k
       inst
   in
-  let all_time = Obs.Clock.wall () -. start in
+  let outcome =
+    Enumeration.outcome ~start ~cnf_time ~stats:(Sat.Solver.stats solver)
+      ~extra:() inst r
+  in
   Option.iter
     (fun o ->
       Obs.end_event ~payload:(List.length r.Enumeration.found) o
         (obs_prefix ^ "/solve"))
     reg;
-  {
-    outcome =
-      {
-        solutions = Solutions.canonical r.Enumeration.found;
-        cnf_time;
-        one_time =
-          Option.fold ~none:0.0 ~some:(fun t -> t -. start) r.Enumeration.first_at;
-        all_time;
-        truncated = r.Enumeration.cut;
-        solver_calls = r.Enumeration.calls;
-        stats = Sat.Solver.stats solver;
-        cert_checks = Encode.Muxed.cert_checks inst;
-        cert_failures = Encode.Muxed.cert_failures inst;
-        extra = ();
-      };
-    fence = r.Enumeration.completed;
-    reg;
-  }
+  { outcome; fence = r.Enumeration.completed; reg }
 
 (* Solver portfolio: the solution space is partitioned into cubes by
    fixing the first L = ⌈log2 jobs⌉ candidate select lines to each of

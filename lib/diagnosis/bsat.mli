@@ -71,12 +71,12 @@ val diagnose :
     whose smaller dominator was lost to the budget in another worker's
     cube can never slip through — but which subset (possibly fewer
     solutions than the sequential run found, even none) depends on the
-    parallel schedule.  [Minimize_single_pass] matches the sequential
-    caveat instead: a shrink abandoned mid-way by the budget may leave a
-    valid but non-essential correction.  Solver counters ([stats], the [obs]
-    counters) are summed across workers and genuinely differ from the
-    sequential run; worker event streams are merged into [obs] tagged
-    with their domain id.
+    parallel schedule.  [Minimize_single_pass] needs no fence: every
+    recorded set was shrunk to an essential one, and a set whose shrink
+    the budget cut short is discarded ({!Enumeration.enumerate}).
+    Solver counters ([stats], the [obs] counters) are summed across
+    workers and genuinely differ from the sequential run; worker event
+    streams are merged into [obs] tagged with their domain id.
 
     [budget] caps total solver effort across the whole enumeration.  It
     is enforced {e inside} the CDCL loop, so a single hard call cannot

@@ -33,7 +33,7 @@ let shrink ~budget ~on_call inst sol =
       all_candidates
   in
   let rec drop kept_rev = function
-    | [] -> Ok (List.sort Int.compare kept_rev)
+    | [] -> Some (List.sort Int.compare kept_rev)
     | g :: rest -> (
         (* same membership order as the quadratic kept @ rest original:
            tie-break order must not change *)
@@ -51,14 +51,12 @@ let shrink ~budget ~on_call inst sol =
         with
         | Sat.Solver.Solved Sat.Solver.Sat -> drop kept_rev rest
         | Sat.Solver.Solved Sat.Solver.Unsat -> drop (g :: kept_rev) rest
-        | Sat.Solver.Unknown ->
-            Error (List.sort Int.compare (List.rev_append kept_rev (g :: rest))))
+        | Sat.Solver.Unknown -> None)
   in
   drop [] sol
 
-let enumerate ?(strategy = Incremental_k) ?(minimal_only = false)
-    ?(cubes = [ [] ]) ?guard ?found ?(max_solutions = max_int) ~budget ~k inst
-    =
+let enumerate ?(strategy = Incremental_k) ?(cubes = [ [] ]) ?guard ?found
+    ?(max_solutions = max_int) ~budget ~k inst =
   let found = match found with Some n -> n | None -> Atomic.make 0 in
   let sols = ref [] in
   let calls = ref 0 in
@@ -87,14 +85,12 @@ let enumerate ?(strategy = Incremental_k) ?(minimal_only = false)
               level ~extra i
           | Minimize_single_pass -> (
               match shrink ~budget ~on_call inst sol with
-              | Ok s ->
+              | Some s ->
                   record s;
                   level ~extra i
-              | Error s ->
-                  (* the budget is spent: keep the valid, possibly
-                     non-minimal set unless only minimal ones may be
-                     recorded *)
-                  if not minimal_only then record s;
+              | None ->
+                  (* the budget died mid-shrink: the set may not be
+                     essential, so it is discarded *)
                   false))
       | Sat.Solver.Unknown -> false
     end
@@ -130,14 +126,16 @@ let enumerate ?(strategy = Incremental_k) ?(minimal_only = false)
     first_at = !first_at;
   }
 
-let followed_by (first : _ Outcome.outcome) (then_ : _ Outcome.outcome) =
+let outcome ~start ~cnf_time ~stats ~extra inst r =
   {
-    then_ with
-    Outcome.cnf_time = first.cnf_time +. then_.cnf_time;
-    one_time = first.all_time +. then_.one_time;
-    all_time = first.all_time +. then_.all_time;
-    truncated = first.truncated || then_.truncated;
-    solver_calls = first.solver_calls + then_.solver_calls;
-    cert_checks = first.cert_checks + then_.cert_checks;
-    cert_failures = first.cert_failures @ then_.cert_failures;
+    Outcome.solutions = Solutions.canonical r.found;
+    cnf_time;
+    one_time = Option.fold ~none:0.0 ~some:(fun t -> t -. start) r.first_at;
+    all_time = Obs.Clock.wall () -. start;
+    truncated = r.cut;
+    solver_calls = r.calls;
+    stats;
+    cert_checks = Encode.Muxed.cert_checks inst;
+    cert_failures = Encode.Muxed.cert_failures inst;
+    extra;
   }

@@ -45,8 +45,9 @@ type strategy =
       (** One pass at limit k; each model's select set is shrunk to an
           essential subset inside the same instance before being blocked:
           candidates outside the set are pinned off and members dropped
-          one at a time while the instance stays satisfiable.  The same solution set with fewer solver calls
-          when solutions are sparse. *)
+          one at a time while the instance stays satisfiable.  The same
+          solution set with fewer solver calls when solutions are
+          sparse. *)
 
 type run = {
   found : int list list;  (** discovery order *)
@@ -61,7 +62,6 @@ type run = {
 
 val enumerate :
   ?strategy:strategy ->
-  ?minimal_only:bool ->
   ?cubes:Sat.Lit.t list list ->
   ?guard:Sat.Lit.t ->
   ?found:int Atomic.t ->
@@ -80,16 +80,22 @@ val enumerate :
     workers) reaches [max_solutions], or once [budget] is exhausted.
 
     Under [Minimize_single_pass], a set whose shrink the budget cut
-    short is still recorded (it is a valid correction) and ends the run,
-    unless [minimal_only] (default false) asks that only
-    inclusion-minimal sets ever be recorded.  A run that ends on the
-    last limit's [Unsat] ([cut = false]) leaves that answer as the
-    solver's last one, so its {!Sat.Solver.unsat_core} is available.
+    short is discarded and ends the run: only essential sets are ever
+    recorded.  A run that ends on the last limit's [Unsat]
+    ([cut = false]) leaves that answer as the solver's last one, so its
+    {!Sat.Solver.unsat_core} is available.
 
-    {!Hitting}'s node checks are one-cube, single-pass runs with
-    [minimal_only]. *)
+    {!Hitting}'s node checks are one-cube, single-pass runs. *)
 
-val followed_by : 'a Outcome.outcome -> 'b Outcome.outcome -> 'b Outcome.outcome
-(** [followed_by first then_] is a two-pass run: [then_]'s solutions,
-    solver counters and extra, with the passes' solver calls,
-    certification results and times summed and truncation or-ed. *)
+val outcome :
+  start:float ->
+  cnf_time:float ->
+  stats:Sat.Solver.stats ->
+  extra:'extra ->
+  Encode.Muxed.t ->
+  run ->
+  'extra Outcome.outcome
+(** The outcome of a run that began at the {!Obs.Clock.wall} instant
+    [start]: its solutions in canonical order, [one_time] and [all_time]
+    measured from [start] ([one_time = 0.0] when nothing was found), and
+    the instance's certification results. *)

@@ -210,8 +210,8 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
        inclusion-minimal diagnoses are ever recorded, so a truncated
        run's output stays a subset of the full run's *)
     let r =
-      Enumeration.enumerate ~strategy:Minimize_single_pass ~minimal_only:true
-        ~cubes:[ bans ] ~found ~max_solutions ~budget ~k st.inst
+      Enumeration.enumerate ~strategy:Minimize_single_pass ~cubes:[ bans ]
+        ~found ~max_solutions ~budget ~k st.inst
     in
     st.ncalls := !(st.ncalls) + r.Enumeration.calls;
     let finish label = { found = r.Enumeration.found; label } in

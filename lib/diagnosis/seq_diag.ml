@@ -60,19 +60,8 @@ let diagnose_bsat ?max_solutions ?budget ~k s tests =
   let start = Obs.Clock.wall () in
   (* group representatives are the frame-0 copies = core ids *)
   let r = Enumeration.enumerate ?max_solutions ~budget ~k inst in
-  {
-    solutions = Solutions.canonical r.Enumeration.found;
-    cnf_time = start -. t0;
-    one_time =
-      Option.fold ~none:0.0 ~some:(fun t -> t -. start) r.Enumeration.first_at;
-    all_time = Obs.Clock.wall () -. start;
-    truncated = r.Enumeration.cut;
-    solver_calls = r.Enumeration.calls;
-    stats = Sat.Solver.stats solver;
-    cert_checks = 0;
-    cert_failures = [];
-    extra = { frames };
-  }
+  Enumeration.outcome ~start ~cnf_time:(start -. t0)
+    ~stats:(Sat.Solver.stats solver) ~extra:{ frames } inst r
 
 (* Frame f>0 copies of state bits are Buf gates the tracer may mark; they
    fold back to core pseudo-inputs, which are not correction sites. *)

@@ -382,25 +382,35 @@ let test_bsat_budget_deterministic () =
   Alcotest.(check bool) "bit-identical reruns" true (run () = run ())
 
 let test_bsat_budget_minimize_strategy () =
-  let _, faulty, _, tests = workload 23 2 in
-  (* size the budget off the unbudgeted run so truncation is guaranteed
+  (* a workload with many solutions, so that some of the budgets below
+     run out in the middle of a shrink *)
+  let _, faulty, _, tests = workload 7 3 in
+  (* size the budgets off the unbudgeted run so truncation is guaranteed
      whatever the workload costs *)
   let full =
-    Diagnosis.Bsat.diagnose ~strategy:Diagnosis.Bsat.Minimize_single_pass ~k:2
+    Diagnosis.Bsat.diagnose ~strategy:Diagnosis.Bsat.Minimize_single_pass ~k:3
       faulty tests
   in
-  let half = max 1 (full.Diagnosis.Bsat.stats.Sat.Solver.propagations / 2) in
-  let budget = Sat.Budget.create ~propagations:half () in
-  let r =
-    Diagnosis.Bsat.diagnose ~strategy:Diagnosis.Bsat.Minimize_single_pass
-      ~budget ~k:2 faulty tests
-  in
-  Alcotest.(check bool) "truncated" true r.Diagnosis.Bsat.truncated;
-  List.iter
-    (fun sol ->
-      Alcotest.(check bool) "shrunk-or-aborted solution still valid" true
-        (Diagnosis.Validity.check_sim faulty tests sol))
-    r.Diagnosis.Bsat.solutions
+  let total = full.Diagnosis.Bsat.stats.Sat.Solver.propagations in
+  for part = 1 to 31 do
+    let budget =
+      Sat.Budget.create ~propagations:(max 1 (total * part / 32)) ()
+    in
+    let r =
+      Diagnosis.Bsat.diagnose ~strategy:Diagnosis.Bsat.Minimize_single_pass
+        ~budget ~k:3 faulty tests
+    in
+    Alcotest.(check bool) "truncated" true r.Diagnosis.Bsat.truncated;
+    List.iter
+      (fun sol ->
+        Alcotest.(check bool) "shrunk solution still valid" true
+          (Diagnosis.Validity.check_sim faulty tests sol);
+        (* a set whose shrink the budget cut short is discarded, so every
+           reported set is one of the full run's essential solutions *)
+        Alcotest.(check bool) "shrunk solution essential" true
+          (List.mem sol full.Diagnosis.Bsat.solutions))
+      r.Diagnosis.Bsat.solutions
+  done
 
 let test_bsat_telemetry_counters () =
   let _, faulty, _, tests = workload 24 1 in
@@ -487,26 +497,39 @@ let test_incremental_budget () =
     (List.length full >= List.length partial)
 
 let test_bsat_wall_budget_widths () =
-  (* an uncapped run that takes over a minute; a 50 ms wall-clock
-     budget must cut it short at jobs 1 and at jobs 4 alike, well within
-     a generous bound (encoding is outside the budget's control) *)
+  (* an uncapped run that takes over a minute; a wall-clock budget of
+     50 ms beyond instance encoding must cut it short inside the search
+     at jobs 1 and at jobs 4 alike, well within a generous bound *)
   let golden = Bench_suite.Embedded.by_name "g6669" ~scale:0.12 in
   let faulty, _ = Sim.Injector.inject ~seed:405346012 ~num_errors:3 golden in
   let tests =
     Sim.Testgen.generate ~seed:405346013 ~max_vectors:(1 lsl 16) ~wanted:16
       ~golden ~faulty
   in
+  (* the budget's clock runs from its creation, encoding included; the
+     same run under a spent budget costs the encoding alone, so allow
+     twice that on top of the 50 ms left for solving *)
+  let encode_time jobs =
+    let t0 = Obs.Clock.wall () in
+    let spent = Sat.Budget.create ~seconds:0.0 () in
+    ignore (Diagnosis.Bsat.diagnose ~budget:spent ~jobs ~k:3 faulty tests);
+    Obs.Clock.wall () -. t0
+  in
   List.iter
     (fun jobs ->
-      let budget = Sat.Budget.create ~seconds:0.05 () in
+      let seconds = 0.05 +. (2.0 *. encode_time jobs) in
+      let budget = Sat.Budget.create ~seconds () in
       let t0 = Obs.Clock.wall () in
       let r = Diagnosis.Bsat.diagnose ~budget ~jobs ~k:3 faulty tests in
       let wall = Obs.Clock.wall () -. t0 in
       let tag = Printf.sprintf "jobs %d" jobs in
       Alcotest.(check bool) (tag ^ ": truncated") true r.Diagnosis.Bsat.truncated;
+      Alcotest.(check bool) (tag ^ ": cut inside the search") true
+        (r.Diagnosis.Bsat.solver_calls >= 1);
       Alcotest.(check bool)
         (Printf.sprintf "%s: stopped after %.3f s" tag wall)
-        true (wall < 10.0);
+        true
+        (wall < seconds +. 10.0);
       List.iter
         (fun sol ->
           Alcotest.(check bool) (tag ^ ": partial solution valid") true

@@ -705,6 +705,7 @@ let test_simplify_root_false_strengthened () =
      proof step must replay, deletions included — the checker must hold
      exactly the clause a later DB reduction deletes *)
   let rng = Random.State.make [| 0x5ab |] in
+  let strengthened = ref 0 in
   for _ = 1 to 12 do
     let n = 150 in
     let lists =
@@ -713,9 +714,16 @@ let test_simplify_root_false_strengthened () =
               let v = 1 + Random.State.int rng n in
               if Random.State.bool rng then v else -v))
     in
-    let _, proof = solve_with_proof lists [] in
+    let s = Sat.Solver.create () in
+    let proof = Sat.Proof.in_memory () in
+    Sat.Solver.set_proof s (Some proof);
+    List.iter (fun c -> Sat.Solver.add_clause s (clause_of_ints c)) lists;
+    ignore (Sat.Solver.solve s : Sat.Solver.result);
+    strengthened := !strengthened + (Sat.Solver.stats s).Sat.Solver.strengthened;
     ignore (replay_proof_incrementally lists proof)
-  done
+  done;
+  (* the instances must exercise the strengthening path at all *)
+  Alcotest.(check bool) "some clause was strengthened" true (!strengthened > 0)
 
 (* ---------- CDCL vs DPLL on random formulas ---------- *)
 
