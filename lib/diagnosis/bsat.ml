@@ -56,18 +56,8 @@ let run_worker ~candidates ~force_zero ~hints ~strategy ~max_solutions ~budget
         Sat.Solver.bump_priority solver (select_var g)
           (float_of_int ((i + w) land 7)))
       cands;
-  let l =
-    let rec fit l = if 1 lsl l >= jobs then l else fit (l + 1) in
-    min (fit 0) (Array.length cands)
-  in
-  let cube j =
-    List.init l (fun i ->
-        let lit = Encode.Muxed.select_lit inst cands.(i) in
-        if j land (1 lsl i) <> 0 then lit else Sat.Lit.negate lit)
-  in
   let cubes =
-    List.init (1 lsl l) Fun.id |> List.filter (fun j -> j mod jobs = w)
-    |> List.map cube
+    Sat.Lit.cubes ~jobs (Array.map (Encode.Muxed.select_lit inst) cands) w
   in
   Option.iter (fun o -> Obs.begin_event o (obs_prefix ^ "/solve")) reg;
   let start = Obs.Clock.wall () in

@@ -124,19 +124,8 @@ let enumerate_sat ?(jobs = 1) ~max_solutions ~budget ~k sets =
     let start = Obs.Clock.wall () in
     let found = Atomic.make 0 in
     let worker w =
-      let ((union, _, _, vars, _) as inst) = build_cover_instance ~k sets in
-      let l =
-        let rec fit l = if 1 lsl l >= jobs then l else fit (l + 1) in
-        min (fit 0) (Array.length union)
-      in
-      let cubes =
-        List.init (1 lsl l) Fun.id
-        |> List.filter (fun j -> j mod jobs = w)
-        |> List.map (fun j ->
-               List.init l (fun i ->
-                   let lit = Lit.pos vars.(i) in
-                   if j land (1 lsl i) <> 0 then lit else Lit.negate lit))
-      in
+      let ((_, _, _, vars, _) as inst) = build_cover_instance ~k sets in
+      let cubes = Lit.cubes ~jobs (Array.map Lit.pos vars) w in
       let sols = ref [] in
       let first_at = ref infinity in
       let out_of_budget () = Atomic.get found >= max_solutions in

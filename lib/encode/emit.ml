@@ -29,3 +29,15 @@ let tee e mirror =
         Sat.Cnf.add_clause mirror c;
         e.clause c);
   }
+
+let checked cert e =
+  match cert with
+  | None -> e
+  | Some c ->
+      {
+        e with
+        clause =
+          (fun lits ->
+            Sat.Certify.add_clause c lits;
+            e.clause lits);
+      }

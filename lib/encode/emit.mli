@@ -13,3 +13,8 @@ val of_cnf : Sat.Cnf.t -> t
 val tee : t -> Sat.Cnf.t -> t
 (** Mirror every clause (and variable allocation) of a sink into a CNF —
     used to export an incremental instance as DIMACS. *)
+
+val checked : Sat.Certify.t option -> t -> t
+(** With a certifier, every clause reaches its checker
+    ({!Sat.Certify.add_clause}) before the sink; without one, the sink
+    itself. *)

@@ -2,17 +2,6 @@ module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
 module Lit = Sat.Lit
 
-(* certification state: the solver's proof sink, an independent checker
-   fed every input clause (via the emit hook) and — batch-wise, after
-   each solve — every proof step, plus pass/fail bookkeeping *)
-type cert = {
-  proof : Sat.Proof.t;
-  checker : Sat.Drup_check.t;
-  mutable drained : int;           (* proof steps already checked *)
-  mutable checks : int;
-  mutable failures : string list;  (* newest first *)
-}
-
 type t = {
   solver : Sat.Solver.t;
   emit : Emit.t;
@@ -25,7 +14,7 @@ type t = {
   counter : Cardinality.t;
   mutable copies : int array array;      (* test index -> gate id -> y var *)
   mutable corrections : int array array; (* test index -> gate id -> c var *)
-  cert : cert option;
+  cert : Sat.Certify.t option;
 }
 
 (* one circuit copy constrained by one test *)
@@ -74,39 +63,14 @@ let encode_copy e circ group_of selects force_zero (test : Sim.Testgen.test) =
 
 let build ?mirror ?candidates ?(groups = []) ?(force_zero = false)
     ?(certify = false) ~max_k solver circ tests =
-  let cert =
-    if not certify then None
-    else begin
-      let proof = Sat.Proof.in_memory () in
-      Sat.Solver.set_proof solver (Some proof);
-      Some
-        {
-          proof;
-          checker = Sat.Drup_check.create ();
-          drained = 0;
-          checks = 0;
-          failures = [];
-        }
-    end
-  in
+  let cert = if certify then Some (Sat.Certify.create solver) else None in
   let e =
     match mirror with
     | None -> Emit.of_solver solver
     | Some cnf -> Emit.tee (Emit.of_solver solver) cnf
   in
-  let e =
-    match cert with
-    | None -> e
-    | Some c ->
-        (* the checker must see every input clause the solver sees *)
-        {
-          Emit.fresh = e.Emit.fresh;
-          clause =
-            (fun lits ->
-              Sat.Drup_check.add_clause c.checker lits;
-              e.Emit.clause lits);
-        }
-  in
+  (* the checker must see every input clause the solver sees *)
+  let e = Emit.checked cert e in
   let tests = Array.of_list tests in
   let groups =
     let explicit =
@@ -157,61 +121,8 @@ let build ?mirror ?candidates ?(groups = []) ?(force_zero = false)
     cert;
   }
 
-(* ---------- certification ---------- *)
-
-let cert_fail c msg = c.failures <- msg :: c.failures
-
-(* feed the checker every proof step recorded since the last drain;
-   returns the fresh slice so Unsat claims can look for their clause *)
-let drain_steps c =
-  let steps = Sat.Proof.steps c.proof in
-  let fresh = Array.sub steps c.drained (Array.length steps - c.drained) in
-  Array.iteri
-    (fun i st ->
-      match Sat.Drup_check.check_step c.checker st with
-      | Ok () -> ()
-      | Error msg ->
-          cert_fail c (Printf.sprintf "proof step %d: %s" (c.drained + i + 1) msg))
-    fresh;
-  c.drained <- Array.length steps;
-  fresh
-
-let certify_result t ~assumptions result =
-  match t.cert with
-  | None -> ()
-  | Some c -> (
-      match result with
-      | Sat.Solver.Unknown ->
-          (* budget truncation: no claim to certify, but keep the checker
-             in step so the next claim's clauses are all accounted for *)
-          ignore (drain_steps c)
-      | Sat.Solver.Solved Sat.Solver.Sat ->
-          ignore (drain_steps c);
-          c.checks <- c.checks + 1;
-          if
-            not
-              (Sat.Drup_check.model_ok ~assumptions c.checker
-                 (Sat.Solver.value t.solver))
-          then cert_fail c "Sat answer: model violates the clause set"
-      | Sat.Solver.Solved Sat.Solver.Unsat ->
-          let fresh = drain_steps c in
-          c.checks <- c.checks + 1;
-          let neg = List.map Lit.negate assumptions in
-          let establishes = function
-            | Sat.Proof.Add lits -> List.for_all (fun l -> List.mem l neg) lits
-            | Sat.Proof.Delete _ -> false
-          in
-          if
-            not
-              (Sat.Drup_check.refuted c.checker
-              || Array.exists establishes fresh)
-          then cert_fail c "Unsat answer: no certifying clause in the proof")
-
-let certified t = t.cert <> None
-let cert_checks t = match t.cert with None -> 0 | Some c -> c.checks
-
-let cert_failures t =
-  match t.cert with None -> [] | Some c -> List.rev c.failures
+let cert_checks t = Option.fold ~none:0 ~some:Sat.Certify.checks t.cert
+let cert_failures t = Option.fold ~none:[] ~some:Sat.Certify.failures t.cert
 
 let add_test t test =
   let y, corr =
@@ -236,30 +147,14 @@ let select_lit t g =
 
 let num_groups t = Array.length t.selects
 
-let solve_at_most ?(extra = []) t k =
-  let bound = Cardinality.bound_assumption t.counter (min k (num_groups t)) in
-  let assumptions = bound @ extra in
-  let r = Sat.Solver.solve ~assumptions t.solver in
-  certify_result t ~assumptions (Sat.Solver.Solved r);
-  r
-
 let solve_at_most_limited ?(extra = []) ~budget t k =
   let bound = Cardinality.bound_assumption t.counter (min k (num_groups t)) in
-  let assumptions = bound @ extra in
-  let r = Sat.Solver.solve_limited ~assumptions ~budget t.solver in
-  certify_result t ~assumptions r;
-  r
+  Sat.Certify.solve ?cert:t.cert ~assumptions:(bound @ extra) ~budget t.solver
 
-let solve_exactly ?(extra = []) t k =
-  if k > num_groups t then Sat.Solver.Unsat
-    (* vacuous bound, no solver call: nothing to certify *)
-  else begin
-    let bound = Cardinality.exactly_bound t.counter k in
-    let assumptions = bound @ extra in
-    let r = Sat.Solver.solve ~assumptions t.solver in
-    certify_result t ~assumptions (Sat.Solver.Solved r);
-    r
-  end
+let solve_at_most ?extra t k =
+  match solve_at_most_limited ?extra ~budget:(Sat.Budget.unlimited ()) t k with
+  | Sat.Solver.Solved r -> r
+  | Sat.Solver.Unknown -> assert false (* an unlimited budget never runs out *)
 
 let selected_group_indices t =
   List.filter

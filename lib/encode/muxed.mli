@@ -43,16 +43,11 @@ val build :
     [mirror] additionally copies every clause into the given CNF (see
     {!export_dimacs}).
 
-    [certify] attaches a DRUP proof sink to [solver] and an independent
-    {!Sat.Drup_check} checker that receives every emitted clause.  Each
-    subsequent solve call is then verified: a [Sat] answer by evaluating
-    the model against the full clause set, an [Unsat] answer by forward
-    DRUP-checking the solver's proof and locating the clause that
-    negates the failed assumptions (the cardinality bound and any
+    [certify] attaches a {!Sat.Certify} certifier to [solver] and feeds
+    it every emitted clause, so each solve call's answer is verified
+    under that call's assumptions (the cardinality bound and any
     activation guards).  Outcomes accumulate in {!cert_checks} /
-    {!cert_failures}; verification never changes answers.  [certify]
-    requires [solver] to be fresh — clauses added before [build] would
-    be invisible to the checker. *)
+    {!cert_failures}.  [certify] requires a fresh [solver]. *)
 
 val export_dimacs :
   ?candidates:int list ->
@@ -98,8 +93,6 @@ val solve_at_most_limited :
     consumed effort is charged to [budget], so one budget can cap a whole
     enumeration. *)
 
-val solve_exactly : ?extra:Sat.Lit.t list -> t -> int -> Sat.Solver.result
-
 val solution : t -> int list
 (** After [Sat]: one representative (smallest gate id) per selected
     group, sorted.  For singleton groups this is the gate itself. *)
@@ -129,9 +122,6 @@ val assert_clause : t -> Sat.Lit.t list -> unit
 
 val fresh_activation : t -> Sat.Lit.t
 (** A fresh activation literal for guarded blocking clauses. *)
-
-val certified : t -> bool
-(** Was the instance built with [~certify:true]? *)
 
 val cert_checks : t -> int
 (** Solver answers verified so far (both [Sat] and [Unsat]; [Unknown]

@@ -17,6 +17,15 @@ let of_dimacs i =
   if i = 0 then invalid_arg "Lit.of_dimacs: zero";
   if i > 0 then pos (i - 1) else neg_of (-i - 1)
 
+let cubes ~jobs lits w =
+  let rec fit l = if 1 lsl l >= jobs then l else fit (l + 1) in
+  let l = min (fit 0) (Array.length lits) in
+  List.init (1 lsl l) Fun.id
+  |> List.filter (fun j -> j mod jobs = w)
+  |> List.map (fun j ->
+         List.init l (fun i ->
+             if j land (1 lsl i) <> 0 then lits.(i) else negate lits.(i)))
+
 let compare = Int.compare
 let equal = Int.equal
 let pp ppf l = Format.fprintf ppf "%d" (to_dimacs l)

@@ -27,6 +27,15 @@ val to_dimacs : t -> int
 val of_dimacs : int -> t
 (** @raise Invalid_argument on 0. *)
 
+val cubes : jobs:int -> t array -> int -> t list list
+(** [cubes ~jobs lits w]: worker [w]'s share of a [jobs]-wide cube
+    partition.  The cubes are the sign patterns over the first
+    min(⌈log2 jobs⌉, |lits|) literals — cube [j] sets literal [i]
+    positive iff bit [i] of [j] is set — and cube [j] goes to worker
+    [j mod jobs], in increasing [j].  Over all workers the cubes are
+    disjoint and cover every pattern; at [jobs = 1] the only cube is
+    [[]]. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -1545,6 +1545,21 @@ let sum_stats a b =
     eliminated = a.eliminated + b.eliminated;
   }
 
+let diff_stats before after =
+  {
+    decisions = after.decisions - before.decisions;
+    propagations = after.propagations - before.propagations;
+    conflicts = after.conflicts - before.conflicts;
+    restarts = after.restarts - before.restarts;
+    learned = after.learned;
+    learned_total = after.learned_total - before.learned_total;
+    deleted = after.deleted - before.deleted;
+    subsumed = after.subsumed - before.subsumed;
+    strengthened = after.strengthened - before.strengthened;
+    vivified = after.vivified - before.vivified;
+    eliminated = after.eliminated - before.eliminated;
+  }
+
 let set_default_phase s v b =
   grow_to s (v + 1);
   s.phase.(v) <- b

@@ -133,6 +133,11 @@ val sum_stats : stats -> stats -> stats
 (** Field-wise sum — the combined effort of several solvers (a
     portfolio's workers, a multi-pass engine). *)
 
+val diff_stats : stats -> stats -> stats
+(** [diff_stats before after]: the effort spent between two {!stats}
+    snapshots of one solver.  [learned] is a gauge, not a counter, so it
+    is [after]'s value as-is; every other field is subtracted. *)
+
 val simplify : t -> unit
 (** Run one inprocessing pass at the root level: drop root-satisfied
     clauses, backward (self-)subsumption, bounded clause vivification

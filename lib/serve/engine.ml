@@ -7,24 +7,6 @@ type outcome = {
   stats : Obs.Json.t option;
 }
 
-(* per-request view of cumulative solver counters; [learned] is a gauge
-   (clauses currently in the database), not a counter, so it is
-   reported as-is *)
-let delta (a : Sat.Solver.stats) (b : Sat.Solver.stats) : Sat.Solver.stats =
-  {
-    Sat.Solver.decisions = b.Sat.Solver.decisions - a.Sat.Solver.decisions;
-    propagations = b.Sat.Solver.propagations - a.Sat.Solver.propagations;
-    conflicts = b.Sat.Solver.conflicts - a.Sat.Solver.conflicts;
-    restarts = b.Sat.Solver.restarts - a.Sat.Solver.restarts;
-    learned = b.Sat.Solver.learned;
-    learned_total = b.Sat.Solver.learned_total - a.Sat.Solver.learned_total;
-    deleted = b.Sat.Solver.deleted - a.Sat.Solver.deleted;
-    subsumed = b.Sat.Solver.subsumed - a.Sat.Solver.subsumed;
-    strengthened = b.Sat.Solver.strengthened - a.Sat.Solver.strengthened;
-    vivified = b.Sat.Solver.vivified - a.Sat.Solver.vivified;
-    eliminated = b.Sat.Solver.eliminated - a.Sat.Solver.eliminated;
-  }
-
 let run ?obs ?budget ?(jobs = 1) ~max_solutions inc =
   Diagnosis.Incremental.attach inc obs;
   let budget = Option.map Sat.Budget.renewed budget in
@@ -41,7 +23,9 @@ let run ?obs ?budget ?(jobs = 1) ~max_solutions inc =
       (fun i _ -> i >= failures0)
       (Diagnosis.Incremental.cert_failures inc)
   in
-  let st_delta = delta st0 (Diagnosis.Incremental.stats inc) in
+  let st_delta =
+    Sat.Solver.diff_stats st0 (Diagnosis.Incremental.stats inc)
+  in
   let stats =
     Option.map
       (fun o ->

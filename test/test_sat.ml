@@ -25,6 +25,41 @@ let test_lit_zero_rejected () =
   Alcotest.check_raises "of_dimacs 0" (Invalid_argument "Lit.of_dimacs: zero")
     (fun () -> ignore (Sat.Lit.of_dimacs 0))
 
+(* every worker's cubes, tagged with the worker *)
+let all_cubes ~jobs lits =
+  List.concat_map
+    (fun w -> List.map (fun c -> (w, c)) (Sat.Lit.cubes ~jobs lits w))
+    (List.init jobs Fun.id)
+
+let test_lit_cubes () =
+  let lits = Array.init 5 Sat.Lit.pos in
+  Alcotest.(check (list (list lit))) "jobs 1: one empty cube" [ [] ]
+    (Sat.Lit.cubes ~jobs:1 lits 0);
+  List.iter
+    (fun jobs ->
+      let cubes = all_cubes ~jobs lits in
+      (* ⌈log2 jobs⌉ = 2 literals at jobs 3 and 4: four sign patterns *)
+      let patterns =
+        List.init 4 (fun j ->
+            List.init 2 (fun i ->
+                if j land (1 lsl i) <> 0 then lits.(i)
+                else Sat.Lit.negate lits.(i)))
+      in
+      Alcotest.(check int) (Printf.sprintf "jobs %d: disjoint" jobs) 4
+        (List.length (List.sort_uniq compare (List.map snd cubes)));
+      Alcotest.(check (list (list lit)))
+        (Printf.sprintf "jobs %d: every pattern" jobs)
+        (List.sort compare patterns)
+        (List.sort compare (List.map snd cubes));
+      List.iteri
+        (fun j p ->
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs %d: cube %d to worker %d" jobs j (j mod jobs))
+            true
+            (List.mem (j mod jobs, p) cubes))
+        patterns)
+    [ 3; 4 ]
+
 (* ---------- Cnf / DIMACS ---------- *)
 
 let clause_of_ints = List.map Sat.Lit.of_dimacs
@@ -588,6 +623,69 @@ let test_checker_core_must_survive () =
 
 (* ---------- inprocessing ---------- *)
 
+(* ---------- Certify ---------- *)
+
+(* a fresh solver and certifier; [lists] reach checker and solver *)
+let certified lists =
+  let s = Sat.Solver.create () in
+  let c = Sat.Certify.create s in
+  List.iter
+    (fun cl ->
+      Sat.Certify.add_clause c (clause_of_ints cl);
+      Sat.Solver.add_clause s (clause_of_ints cl))
+    lists;
+  (s, c)
+
+let check_one_failure prefix c =
+  match Sat.Certify.failures c with
+  | [ msg ] when String.starts_with ~prefix msg -> ()
+  | fs ->
+      Alcotest.fail
+        (Printf.sprintf "expected one %S failure, got [%s]" prefix
+           (String.concat " | " fs))
+
+let test_certify_sat_model_rejected () =
+  (* the checker holds ¬x1, the solver x1: the model breaks an input
+     clause the solver never saw *)
+  let s, c = certified [] in
+  Sat.Certify.add_clause c (clause_of_ints [ -1 ]);
+  Sat.Solver.add_clause s (clause_of_ints [ 1 ]);
+  Alcotest.(check bool) "solver says sat" true
+    (Sat.Certify.solve ~cert:c s = Sat.Solver.Solved Sat.Solver.Sat);
+  Alcotest.(check int) "one check" 1 (Sat.Certify.checks c);
+  check_one_failure "Sat answer" c
+
+let test_certify_unsat_claim_rejected () =
+  (* the instance is satisfiable under x1, so an Unsat claim has no
+     establishing clause in the proof *)
+  let s, c = certified [ [ -1; 2 ] ] in
+  let assumptions = [ Sat.Lit.pos 0 ] in
+  Alcotest.(check bool) "solver says sat" true
+    (Sat.Certify.solve ~cert:c ~assumptions s
+    = Sat.Solver.Solved Sat.Solver.Sat);
+  Alcotest.(check (list string)) "true answer certified" []
+    (Sat.Certify.failures c);
+  Sat.Certify.verify c ~assumptions (Sat.Solver.Solved Sat.Solver.Unsat);
+  Alcotest.(check int) "two checks" 2 (Sat.Certify.checks c);
+  check_one_failure "Unsat answer" c
+
+let test_certify_bad_step_rejected () =
+  (* ¬x1 reaches only the solver: the core clause it logs under the
+     assumption x1 is not RUP for the checker *)
+  let s, c = certified [] in
+  Sat.Solver.add_clause s (clause_of_ints [ -1 ]);
+  Alcotest.(check bool) "solver says unsat" true
+    (Sat.Certify.solve ~cert:c ~assumptions:[ Sat.Lit.pos 0 ] s
+    = Sat.Solver.Solved Sat.Solver.Unsat);
+  check_one_failure "proof step 1" c
+
+let test_certify_unsat_accepted () =
+  let s, c = certified (php_lists 5 4) in
+  Alcotest.(check bool) "php 5/4 unsat" true
+    (Sat.Certify.solve ~cert:c s = Sat.Solver.Solved Sat.Solver.Unsat);
+  Alcotest.(check int) "one check" 1 (Sat.Certify.checks c);
+  Alcotest.(check (list string)) "no failures" [] (Sat.Certify.failures c)
+
 let stats_of s = Sat.Solver.stats s
 
 let replay_proof_incrementally lists proof =
@@ -1035,6 +1133,7 @@ let () =
           Alcotest.test_case "dimacs roundtrip" `Quick test_lit_roundtrip;
           Alcotest.test_case "negate" `Quick test_lit_negate;
           Alcotest.test_case "zero rejected" `Quick test_lit_zero_rejected;
+          Alcotest.test_case "cube partition" `Quick test_lit_cubes;
         ] );
       ( "cnf",
         [
@@ -1113,6 +1212,17 @@ let () =
             test_checker_ghost_unit_rejected;
           Alcotest.test_case "core must survive deletions" `Quick
             test_checker_core_must_survive;
+        ] );
+      ( "certify",
+        [
+          Alcotest.test_case "sat model breaks clause" `Quick
+            test_certify_sat_model_rejected;
+          Alcotest.test_case "unsat claim without clause" `Quick
+            test_certify_unsat_claim_rejected;
+          Alcotest.test_case "proof step fails rup" `Quick
+            test_certify_bad_step_rejected;
+          Alcotest.test_case "assumption-free unsat" `Quick
+            test_certify_unsat_accepted;
         ] );
       ( "inprocessing",
         [
