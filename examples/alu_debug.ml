@@ -41,34 +41,36 @@ let () =
       (* read off the correction witness: for each test, the value the
          repaired gate must produce *)
       let g = List.hd sol in
+      (* one (fanin values, required output) row per test; a test whose
+         output cone misses [g] places no constraint on it *)
+      let rows =
+        List.filter_map
+          (fun ti ->
+            match Core.Muxed.correction_value inst ~test:ti ~gate:g with
+            | exception Not_found -> None
+            | v ->
+                let fanin_vals =
+                  Array.map
+                    (fun h -> Core.Muxed.gate_value inst ~test:ti ~gate:h)
+                    faulty.Core.Circuit.fanins.(g)
+                in
+                Some (ti, fanin_vals, v))
+          (List.init (List.length tests) Fun.id)
+      in
       Fmt.pr "witness values at %s (per test):@." (name g);
-      List.iteri
-        (fun ti t ->
-          let v = Core.Muxed.correction_value inst ~test:ti ~gate:g in
-          let fanin_vals =
-            Array.map
-              (fun h -> Core.Muxed.gate_value inst ~test:ti ~gate:h)
-              faulty.Core.Circuit.fanins.(g)
-          in
+      List.iter
+        (fun (ti, fanin_vals, v) ->
           Fmt.pr "  test %2d: inputs=%a  required output=%b@." ti
             (Fmt.array ~sep:(Fmt.any ",") Fmt.bool)
-            fanin_vals v;
-          ignore t)
-        tests;
+            fanin_vals v)
+        rows;
       (* match the witness against standard gate functions *)
       let arity = Array.length faulty.Core.Circuit.fanins.(g) in
       let consistent kind =
         Core.Gate.arity_ok kind arity
         && List.for_all
-             (fun ti ->
-               let fanin_vals =
-                 Array.map
-                   (fun h -> Core.Muxed.gate_value inst ~test:ti ~gate:h)
-                   faulty.Core.Circuit.fanins.(g)
-               in
-               Core.Gate.eval kind fanin_vals
-               = Core.Muxed.correction_value inst ~test:ti ~gate:g)
-             (List.init (List.length tests) Fun.id)
+             (fun (_, fanin_vals, v) -> Core.Gate.eval kind fanin_vals = v)
+             rows
       in
       let candidates = List.filter consistent Core.Gate.all_logic in
       Fmt.pr "gate functions consistent with the witness: %a@."

@@ -9,38 +9,42 @@ type witness = {
 exception Conflict of int * bool array
 (** gate, fanin values with contradictory required outputs *)
 
+(* Whether test [ti] constrains candidate [g]: a gate outside the fan-in
+   cone of the test's output has no correction variable in that copy. *)
+let constrains inst ti g =
+  match Encode.Muxed.correction_var inst ~test:ti ~gate:g with
+  | _ -> true
+  | exception Not_found -> false
+
+let fanin_values inst ti g =
+  Array.map
+    (fun h -> Encode.Muxed.gate_value inst ~test:ti ~gate:h)
+    (Encode.Muxed.circuit inst).Circuit.fanins.(g)
+
 (* Read the witness tables off the current model of a restricted
    instance whose selects are all asserted. *)
 let extract_tables inst solution num_tests =
-  let circ = Encode.Muxed.circuit inst in
   List.map
     (fun g ->
       let table = Hashtbl.create 8 in
       for ti = 0 to num_tests - 1 do
-        let vals =
-          Array.map
-            (fun h -> Encode.Muxed.gate_value inst ~test:ti ~gate:h)
-            circ.Circuit.fanins.(g)
-        in
-        let req = Encode.Muxed.correction_value inst ~test:ti ~gate:g in
-        match Hashtbl.find_opt table vals with
-        | Some req' when req' <> req -> raise (Conflict (g, vals))
-        | Some _ -> ()
-        | None -> Hashtbl.add table vals req
+        if constrains inst ti g then begin
+          let vals = fanin_values inst ti g in
+          let req = Encode.Muxed.correction_value inst ~test:ti ~gate:g in
+          match Hashtbl.find_opt table vals with
+          | Some req' when req' <> req -> raise (Conflict (g, vals))
+          | Some _ -> ()
+          | None -> Hashtbl.add table vals req
+        end
       done;
       { gate = g; table = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] })
     solution
 
-(* Tests whose model currently shows the conflicting fanin values [vals]
-   at gate [g]. *)
+(* Tests constraining gate [g] whose model currently shows the
+   conflicting fanin values [vals] there. *)
 let conflicting_tests inst g vals num_tests =
-  let circ = Encode.Muxed.circuit inst in
   List.filter
-    (fun ti ->
-      Array.map
-        (fun h -> Encode.Muxed.gate_value inst ~test:ti ~gate:h)
-        circ.Circuit.fanins.(g)
-      = vals)
+    (fun ti -> constrains inst ti g && fanin_values inst ti g = vals)
     (List.init num_tests Fun.id)
 
 let consistent_kinds c w =

@@ -6,9 +6,11 @@
     exploited to determine the correct function of the gate".  This
     module does exactly that: it reads the correction witness off the
     SAT model, interprets it as a partial truth table over the gate's
-    fanins, replaces the gate by a standard kind when one matches, or by
-    the original function XOR a minterm patch otherwise, and verifies the
-    repaired circuit against the tests.
+    fanins (a test whose output cone misses the gate constrains it
+    nowhere, so it contributes no row), replaces the gate by a standard
+    kind when one matches, or by the original function XOR a minterm
+    patch otherwise, and verifies the repaired circuit against the
+    tests.
 
     A valid correction guarantees rectifying *per-test values*, not a
     consistent local function (the values may encode a dependency on

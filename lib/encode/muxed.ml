@@ -2,44 +2,55 @@ module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
 module Lit = Sat.Lit
 
-type t = {
-  solver : Sat.Solver.t;
+(* What every test copy of one instance shares. *)
+type shared = {
   emit : Emit.t;
-  force_zero : bool;
   circ : Circuit.t;
-  mutable tests : Sim.Testgen.test array;
-  groups : int array array;          (* group index -> member gate ids *)
+  force_zero : bool;
   group_of : (int, int) Hashtbl.t;   (* gate id -> group index *)
   selects : int array;               (* group index -> select var *)
+  truth : int;                       (* the constant-true var *)
+  live : bool array;                 (* gate id -> in a candidate's fan-out *)
+  cones : bool array Lazy.t array;   (* output index -> its fan-in cone *)
+}
+
+type t = {
+  solver : Sat.Solver.t;
+  sh : shared;
+  groups : int array array;          (* group index -> member gate ids *)
   counter : Cardinality.t;
-  mutable copies : int array array;      (* test index -> gate id -> y var *)
+  mutable tests : Sim.Testgen.test array;
+  mutable copies : int array array;
+      (* test index -> gate id -> literal code, -1 outside the cone *)
   mutable corrections : int array array; (* test index -> gate id -> c var *)
   cert : Sat.Certify.t option;
 }
 
-(* one circuit copy constrained by one test *)
-let encode_copy e circ group_of selects force_zero (test : Sim.Testgen.test) =
+(* One circuit copy constrained by one test, over the fan-in cone of the
+   test's output only.  A cone gate outside every candidate's fan-out
+   keeps its fault-free value whatever the corrections are, so it is
+   folded to its simulated value, a literal of [truth]. *)
+let encode_copy sh (test : Sim.Testgen.test) =
+  let e = sh.emit and circ = sh.circ in
+  let cone = Lazy.force sh.cones.(test.Sim.Testgen.po_index) in
+  let sim = Sim.Simulator.eval circ test.Sim.Testgen.vector in
   let n = Circuit.size circ in
   let y = Array.make n (-1) in
   let corr = Array.make n (-1) in
-  Array.iteri
-    (fun i g ->
-      let v = e.Emit.fresh () in
-      y.(g) <- v;
-      e.Emit.clause [ Lit.make v test.Sim.Testgen.vector.(i) ])
-    circ.Circuit.inputs;
+  let set g l = y.(g) <- Lit.code l in
   Array.iter
     (fun g ->
-      match circ.Circuit.kinds.(g) with
-      | Gate.Input -> ()
-      | kind -> (
+      if cone.(g) then
+        if not sh.live.(g) then set g (Lit.make sh.truth sim.(g))
+        else
+          let kind = circ.Circuit.kinds.(g) in
           let fanin_lits =
-            Array.map (fun h -> Lit.pos y.(h)) circ.Circuit.fanins.(g)
+            Array.map (fun h -> Lit.of_code y.(h)) circ.Circuit.fanins.(g)
           in
-          match Hashtbl.find_opt group_of g with
+          match Hashtbl.find_opt sh.group_of g with
           | None ->
               let v = e.Emit.fresh () in
-              y.(g) <- v;
+              set g (Lit.pos v);
               Tseitin.gate_clauses e ~out:(Lit.pos v) kind fanin_lits
           | Some gi ->
               let f = e.Emit.fresh () in
@@ -47,18 +58,18 @@ let encode_copy e circ group_of selects force_zero (test : Sim.Testgen.test) =
               let c = e.Emit.fresh () in
               corr.(g) <- c;
               let out = e.Emit.fresh () in
-              y.(g) <- out;
-              let s = Lit.pos selects.(gi) in
+              set g (Lit.pos out);
+              let s = Lit.pos sh.selects.(gi) in
               let cl = Lit.pos c and fl = Lit.pos f and ol = Lit.pos out in
               (* out = s ? c : f *)
               e.Emit.clause [ Lit.negate s; Lit.negate cl; ol ];
               e.Emit.clause [ Lit.negate s; cl; Lit.negate ol ];
               e.Emit.clause [ s; Lit.negate fl; ol ];
               e.Emit.clause [ s; fl; Lit.negate ol ];
-              if force_zero then e.Emit.clause [ s; Lit.negate cl ]))
+              if sh.force_zero then e.Emit.clause [ s; Lit.negate cl ])
     circ.Circuit.topo;
-  let og = circ.Circuit.outputs.(test.Sim.Testgen.po_index) in
-  e.Emit.clause [ Lit.make y.(og) test.Sim.Testgen.expected ];
+  let out = Lit.of_code y.(circ.Circuit.outputs.(test.Sim.Testgen.po_index)) in
+  e.Emit.clause [ (if test.Sim.Testgen.expected then out else Lit.negate out) ];
   (y, corr)
 
 let build ?mirror ?candidates ?(groups = []) ?(force_zero = false)
@@ -98,9 +109,26 @@ let build ?mirror ?candidates ?(groups = []) ?(force_zero = false)
         members)
     groups;
   let selects = Array.map (fun _ -> e.Emit.fresh ()) groups in
-  let pairs =
-    Array.map (encode_copy e circ group_of selects force_zero) tests
+  let truth = e.Emit.fresh () in
+  e.Emit.clause [ Lit.pos truth ];
+  let sh =
+    {
+      emit = e;
+      circ;
+      force_zero;
+      group_of;
+      selects;
+      truth;
+      live =
+        Netlist.Structural.fanout_cone circ
+          (List.concat_map Array.to_list (Array.to_list groups));
+      cones =
+        Array.map
+          (fun o -> lazy (Netlist.Structural.fanin_cone circ [ o ]))
+          circ.Circuit.outputs;
+    }
   in
+  let pairs = Array.map (encode_copy sh) tests in
   let counter =
     Cardinality.encode_at_most e
       ~lits:(Array.to_list (Array.map Lit.pos selects))
@@ -108,14 +136,10 @@ let build ?mirror ?candidates ?(groups = []) ?(force_zero = false)
   in
   {
     solver;
-    emit = e;
-    force_zero;
-    circ;
-    tests;
+    sh;
     groups;
-    group_of;
-    selects;
     counter;
+    tests;
     copies = Array.map fst pairs;
     corrections = Array.map snd pairs;
     cert;
@@ -125,14 +149,12 @@ let cert_checks t = Option.fold ~none:0 ~some:Sat.Certify.checks t.cert
 let cert_failures t = Option.fold ~none:[] ~some:Sat.Certify.failures t.cert
 
 let add_test t test =
-  let y, corr =
-    encode_copy t.emit t.circ t.group_of t.selects t.force_zero test
-  in
+  let y, corr = encode_copy t.sh test in
   t.tests <- Array.append t.tests [| test |];
   t.copies <- Array.append t.copies [| y |];
   t.corrections <- Array.append t.corrections [| corr |]
 
-let circuit t = t.circ
+let circuit t = t.sh.circ
 
 let candidate_gates t =
   Array.concat (Array.to_list t.groups)
@@ -141,11 +163,11 @@ let candidate_gates t =
 let num_tests t = Array.length t.tests
 
 let select_lit t g =
-  match Hashtbl.find_opt t.group_of g with
-  | Some i -> Lit.pos t.selects.(i)
+  match Hashtbl.find_opt t.sh.group_of g with
+  | Some i -> Lit.pos t.sh.selects.(i)
   | None -> raise Not_found
 
-let num_groups t = Array.length t.selects
+let num_groups t = Array.length t.sh.selects
 
 let solve_at_most_limited ?(extra = []) ~budget t k =
   let bound = Cardinality.bound_assumption t.counter (min k (num_groups t)) in
@@ -158,7 +180,7 @@ let solve_at_most ?extra t k =
 
 let selected_group_indices t =
   List.filter
-    (fun i -> Sat.Solver.value t.solver t.selects.(i))
+    (fun i -> Sat.Solver.value t.solver t.sh.selects.(i))
     (List.init (num_groups t) Fun.id)
 
 let solution t =
@@ -180,25 +202,29 @@ let correction_value t ~test ~gate =
 
 let block ?unless t gates =
   let group_index g =
-    match Hashtbl.find_opt t.group_of g with
+    match Hashtbl.find_opt t.sh.group_of g with
     | Some i -> i
     | None -> invalid_arg "Muxed.block: non-candidate gate in solution"
   in
   let group_indices = List.map group_index gates |> List.sort_uniq Int.compare in
   let clause =
-    List.map (fun i -> Lit.negate (Lit.pos t.selects.(i))) group_indices
+    List.map (fun i -> Lit.negate (Lit.pos t.sh.selects.(i))) group_indices
   in
   let clause =
     match unless with None -> clause | Some a -> Lit.negate a :: clause
   in
   (* through the emit hook, not the raw solver: the certification
      checker (and any mirror) must see blocking clauses too *)
-  t.emit.Emit.clause clause
+  t.sh.emit.Emit.clause clause
 
-let assert_clause t lits = t.emit.Emit.clause lits
-let fresh_activation t = Lit.pos (t.emit.Emit.fresh ())
+let assert_clause t lits = t.sh.emit.Emit.clause lits
+let fresh_activation t = Lit.pos (t.sh.emit.Emit.fresh ())
 
-let gate_value t ~test ~gate = Sat.Solver.value t.solver t.copies.(test).(gate)
+let gate_value t ~test ~gate =
+  let code = t.copies.(test).(gate) in
+  if code < 0 then raise Not_found;
+  let l = Lit.of_code code in
+  Sat.Solver.value t.solver (Lit.var l) = Lit.sign l
 
 let export_dimacs ?candidates ?groups ?force_zero ~k circ tests =
   let cnf = Sat.Cnf.create () in

@@ -7,6 +7,19 @@
     re-assigned any Boolean function.  Each copy pins its primary inputs
     to the test vector and its erroneous output to the correct value.
 
+    The copy for a test on output o is its cone of influence: it encodes
+    only the gates in the fan-in cone of o, since no other gate can
+    change o.  Inside the cone, a gate outside the fan-out of every
+    candidate computes its fault-free value whatever the corrections
+    are; it gets no variable and no clause, but is folded to its value
+    under one simulation of the test vector, a literal of a single
+    constant-true variable shared by all copies (primary inputs are
+    folded the same way).  A test whose cone holds no candidate is thus
+    one constant output clause: true if the test passes, false (the
+    instance is unsatisfiable) if it fails.  Select lines are unaffected: every
+    candidate keeps its select line and counts towards the bound even
+    where no copy constrains it.
+
     A sequential counter over the select lines provides the
     "at most k changed gates" bound, selectable per solve call via
     assumptions (Fig. 3, line 2).
@@ -60,14 +73,17 @@ val export_dimacs :
 (** The complete diagnosis instance, with the at-most-k bound frozen in,
     as DIMACS CNF text — for use with external SAT solvers.  DIMACS
     variables [1..#groups] are the select lines, in group order (explicit
-    groups first, then the remaining candidates in topological order). *)
+    groups first, then the remaining candidates in topological order);
+    variable [#groups + 1] is the constant-true variable. *)
 
 val add_test : t -> Sim.Testgen.test -> unit
 (** Incrementally constrain the live instance with one more test: a new
     circuit copy is encoded into the same solver, sharing the select
     lines and everything the solver has learned so far — the incremental
-    use the paper attributes to Zchaff/SATIRE.  Solutions enumerated
-    before the call may no longer be corrections for the extended set. *)
+    use the paper attributes to Zchaff/SATIRE.  The copy covers the
+    test's output cone, as in {!build}; each output's cone is computed
+    once per instance.  Solutions enumerated before the call may no
+    longer be corrections for the extended set. *)
 
 val circuit : t -> Netlist.Circuit.t
 
@@ -102,11 +118,14 @@ val solution_groups : t -> int list list
 
 val correction_value : t -> test:int -> gate:int -> bool
 (** After [Sat]: the value injected at a candidate gate for a test — the
-    witness from which a replacement function can be read off. *)
+    witness from which a replacement function can be read off.
+    @raise Not_found for non-candidates, and for a candidate outside
+    the fan-in cone of the test's output: the test places no constraint
+    on that gate, so its witness row is a don't-care. *)
 
 val correction_var : t -> test:int -> gate:int -> int
 (** The solver variable carrying that correction value (for phase hints
-    and assumptions).  @raise Not_found for non-candidates. *)
+    and assumptions).  @raise Not_found as {!correction_value}. *)
 
 val block : ?unless:Sat.Lit.t -> t -> int list -> unit
 (** Add the blocking clause [∨ ¬s] over the groups of the given gates,
@@ -133,4 +152,7 @@ val cert_failures : t -> string list
     every diagnosis step's SAT answer is independently replayed. *)
 
 val gate_value : t -> test:int -> gate:int -> bool
-(** After [Sat]: the (post-mux) value of any gate in a test copy. *)
+(** After [Sat]: the (post-mux) value of a gate in a test copy.  For a
+    gate folded to a constant this is its simulated value under the
+    test vector.  @raise Not_found for a gate outside the fan-in cone of
+    the test's output, which the copy does not encode. *)

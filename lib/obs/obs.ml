@@ -240,7 +240,7 @@ module Json = struct
 end
 
 module Clock = struct
-  let wall () = Unix.gettimeofday ()
+  let wall () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
   let cpu () = Sys.time ()
 end

@@ -42,12 +42,17 @@ module Json : sig
 end
 
 (** Time sources.  Everything in this library that stamps wall-clock
-    time ({!span}, event ["ts"] fields) uses {!Clock.wall}; the process
-    CPU clock stays available as {!Clock.cpu} for callers that want it
-    explicitly. *)
+    time ({!span}, event and log ["ts"] fields) uses {!Clock.wall}, and
+    so do [Sat.Budget] deadlines, the solver's deadline poll and the
+    serve timings; the process CPU clock stays available as {!Clock.cpu}
+    for callers that want it explicitly. *)
 module Clock : sig
   val wall : unit -> float
-  (** Wall-clock seconds since the epoch ([Unix.gettimeofday]). *)
+  (** Elapsed real time in seconds on CLOCK_MONOTONIC
+      ([bechamel.monotonic_clock]): never decreases and ignores
+      system-clock adjustments.  The origin is arbitrary (typically
+      boot), so only differences between readings mean anything; a
+      ["ts"] stamp is not a date. *)
 
   val cpu : unit -> float
   (** Process CPU seconds ([Sys.time]).  Insensitive to sleeps and
@@ -242,7 +247,8 @@ module Log : sig
     req : string;  (** request correlation id; [""] when none *)
     name : string;  (** event name, e.g. ["serve/slow"] *)
     payload : Json.t;  (** structured detail; [Null] when none *)
-    wall : float;  (** {!Clock.wall} at emission *)
+    wall : float;  (** {!Clock.wall} at emission (monotonic seconds,
+                       not a date) *)
   }
 
   type l
@@ -250,7 +256,8 @@ module Log : sig
   val make : ?capacity:int -> ?sink:out_channel -> unit -> l
   (** A log retaining the last [capacity] records (default 256).  When
       [sink] is given, every record is also written to it as one JSON
-      line (with the wall-clock ["ts"]) and flushed immediately. *)
+      line (with the {!Clock.wall} reading as ["ts"]) and flushed
+      immediately. *)
 
   val log : l -> ?payload:Json.t -> ?req:string -> level:level -> string -> unit
   (** Emit one record under the given event name. *)

@@ -93,10 +93,21 @@ let required_string j name =
   | Some s -> s
   | None -> bad "request needs a %S field" name
 
+(* an optional integer field with a lower bound *)
+let int_at_least lo j name =
+  match int_field j name with
+  | Some n when n < lo -> bad "field %S must be at least %d, got %d" name lo n
+  | v -> v
+
 let diagnose_of_json id j =
-  let errors = Option.value (int_field j "errors") ~default:1 in
-  let budget_seconds = float_field j "budget_seconds" in
-  let budget_conflicts = int_field j "budget_conflicts" in
+  let errors = Option.value (int_at_least 0 j "errors") ~default:1 in
+  let budget_seconds =
+    match float_field j "budget_seconds" with
+    | Some s when s < 0.0 ->
+        bad "field \"budget_seconds\" must be non-negative, got %g" s
+    | v -> v
+  in
+  let budget_conflicts = int_at_least 0 j "budget_conflicts" in
   let budget =
     match (budget_seconds, budget_conflicts) with
     | None, None -> None
@@ -108,9 +119,10 @@ let diagnose_of_json id j =
     faulty = string_field j "faulty";
     errors;
     seed = Option.value (int_field j "seed") ~default:1;
-    k = int_field j "k";
-    tests = Option.value (int_field j "tests") ~default:16;
-    max_solutions = Option.value (int_field j "max_solutions") ~default:1000;
+    k = int_at_least 0 j "k";
+    tests = Option.value (int_at_least 1 j "tests") ~default:16;
+    max_solutions =
+      Option.value (int_at_least 1 j "max_solutions") ~default:1000;
     budget;
     certify = bool_field ~default:false j "certify";
     stats = bool_field ~default:false j "stats";
@@ -142,14 +154,16 @@ let request_of_json j =
   | Some _ -> bad {|field "op" must be a string|}
   | None -> bad {|request needs an "op" field|}
 
-let parse payload =
+let decode payload =
   match J.parse payload with
-  | Error msg -> Error ("invalid JSON: " ^ msg)
+  | Error msg -> Error (None, "invalid JSON: " ^ msg)
   | Ok j -> (
       match request_of_json j with
       | req -> Ok req
-      | exception Bad msg -> Error msg
-      | exception Invalid_argument msg -> Error msg)
+      | exception Bad msg -> Error (J.member "id" j, msg)
+      | exception Invalid_argument msg -> Error (J.member "id" j, msg))
+
+let parse payload = Result.map_error snd (decode payload)
 
 (* ---------- responses ---------- *)
 

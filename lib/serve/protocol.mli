@@ -69,11 +69,16 @@ val read_frame : in_channel -> string option
 val write_frame : out_channel -> string -> unit
 (** Write one frame and flush. *)
 
-val parse : string -> (request, string) result
+val decode : string -> (request, Obs.Json.t option * string) result
 (** Decode a request payload.  Unknown ops, missing required fields,
-    type mismatches and invalid budgets all yield [Error] with a
-    one-line message (the server answers with an error response and
-    keeps serving). *)
+    type mismatches and out-of-range values ([k] or [errors] negative,
+    [tests] or [max_solutions] below 1, a negative budget) all yield
+    [Error (id, msg)]: a one-line message and the payload's top-level
+    ["id"], if it parsed as JSON and carried one, to echo in the error
+    response (the server answers and keeps serving). *)
+
+val parse : string -> (request, string) result
+(** {!decode} without the id. *)
 
 val ok : ?id:Obs.Json.t -> (string * Obs.Json.t) list -> Obs.Json.t
 (** [{"id":…,"ok":true,<fields>}] ([id] first when present). *)

@@ -787,10 +787,10 @@ let session t ic oc =
     match Protocol.read_frame ic with
     | None -> 0
     | Some payload -> (
-        match Protocol.parse payload with
-        | Error msg ->
+        match Protocol.decode payload with
+        | Error (id, msg) ->
             note_error t;
-            write (Protocol.error msg);
+            write (Protocol.error ?id msg);
             loop ()
         | Ok req ->
             let resp, continue = handle t req in

@@ -37,7 +37,9 @@
     opens in Perfetto with one tid track per domain.  [slow_ms] sets a
     latency threshold above which a request is recorded in the
     {!slow_log} (severity [Warn], payload = the request's measured
-    deltas). *)
+    deltas).  Every timing here reads [Obs.Clock.wall], a monotonic
+    clock: the slow log's ["ts"] orders and spaces records but is not
+    a date. *)
 
 type t
 

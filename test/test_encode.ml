@@ -332,6 +332,118 @@ let test_muxed_export_dimacs () =
   Alcotest.(check bool) "equisatisfiable" true
     (Sat.Solver.solve s2 = Encode.Muxed.solve_at_most inst 1)
 
+(* ---------- cone-of-influence copies ---------- *)
+
+(* Output 0 reads inputs x0..x2 through [a1 = x0 AND x1], [a2 = a1 OR x2];
+   output 1 reads y0, y1 through a chain of [b_len] gates.  The two
+   fan-in cones share no gate. *)
+let two_cones ?(a_only = false) ?(b_len = 6) () =
+  let module B = Netlist.Builder in
+  let b = B.create ~name:"two_cones" in
+  let x = Array.init 3 (fun _ -> B.input b) in
+  let a1 = B.and_ b x.(0) x.(1) in
+  let a2 = B.or_ b a1 x.(2) in
+  B.output b a2;
+  if not a_only then begin
+    let y0 = B.input b and y1 = B.input b in
+    let g = ref (B.xor_ b y0 y1) in
+    for i = 2 to b_len do
+      g := if i mod 2 = 0 then B.and_ b !g y1 else B.not_ b !g
+    done;
+    B.output b !g
+  end;
+  (B.build b, a1)
+
+let dimacs_size circ tests =
+  let cnf = Sat.Cnf.of_dimacs (Encode.Muxed.export_dimacs ~k:1 circ tests) in
+  (cnf.Sat.Cnf.num_vars, Sat.Cnf.clause_count cnf)
+
+(* A copy encodes only its output's cone: the cost of a test on output
+   0 (variables and clauses over the test-free instance) is the same
+   with or without the disjoint second cone, however large that is. *)
+let test_muxed_copy_cone_only () =
+  let copy_cost circ vector =
+    let test = { Sim.Testgen.vector; po_index = 0; expected = false } in
+    let v1, c1 = dimacs_size circ [ test ] and v0, c0 = dimacs_size circ [] in
+    (v1 - v0, c1 - c0)
+  in
+  let alone, _ = two_cones ~a_only:true () in
+  let cost = copy_cost alone [| true; false; false |] in
+  Alcotest.(check bool) "a copy costs something" true (snd cost > 0);
+  List.iter
+    (fun b_len ->
+      let both, _ = two_cones ~b_len () in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "no variable or clause for a %d-gate second cone" b_len)
+        cost
+        (copy_cost both [| true; false; false; true; false |]))
+    [ 2; 6; 20 ]
+
+(* With an explicit candidate, cone gates outside its fan-out are folded
+   to their simulated values, and gates outside the cone have no value. *)
+let test_muxed_folded_gate_value () =
+  for seed = 0 to 4 do
+    let c =
+      Netlist.Generators.random_dag ~seed ~num_inputs:6 ~num_gates:40
+        ~num_outputs:3 ()
+    in
+    let rng = Random.State.make [| seed |] in
+    let gates = C.gate_ids c in
+    let cand = gates.(Random.State.int rng (Array.length gates)) in
+    let tests =
+      List.init 3 (fun po_index ->
+          let vector = Array.init 6 (fun _ -> Random.State.bool rng) in
+          let expected = (Sim.Simulator.outputs c vector).(po_index) in
+          { Sim.Testgen.vector; po_index; expected })
+    in
+    let solver = Sat.Solver.create () in
+    let inst = Encode.Muxed.build ~candidates:[ cand ] ~max_k:1 solver c tests in
+    (match Encode.Muxed.solve_at_most inst 1 with
+    | Sat.Solver.Unsat -> Alcotest.fail "passing tests must be satisfiable"
+    | Sat.Solver.Sat -> ());
+    let fanout = Netlist.Structural.fanout_cone c [ cand ] in
+    List.iteri
+      (fun ti (t : Sim.Testgen.test) ->
+        let cone = Netlist.Structural.fanin_cone c [ c.C.outputs.(t.po_index) ] in
+        let sim = Sim.Simulator.eval c t.vector in
+        for g = 0 to C.size c - 1 do
+          let name = Printf.sprintf "seed %d test %d gate %d" seed ti g in
+          match Encode.Muxed.gate_value inst ~test:ti ~gate:g with
+          | v ->
+              Alcotest.(check bool) (name ^ " in the cone") true cone.(g);
+              if not fanout.(g) then
+                Alcotest.(check bool) (name ^ " folded = simulated") sim.(g) v
+          | exception Not_found ->
+              Alcotest.(check bool) (name ^ " outside the cone") false cone.(g)
+        done;
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d test %d: correction only inside the cone"
+             seed ti)
+          cone.(cand)
+          (match Encode.Muxed.correction_var inst ~test:ti ~gate:cand with
+          | _ -> true
+          | exception Not_found -> false))
+      tests
+  done
+
+(* A test whose cone holds no candidate is one constant output clause:
+   validity follows simulation whether that test passes or fails. *)
+let test_muxed_candidate_free_cone () =
+  let golden, a1 = two_cones () in
+  let faulty = C.with_kinds golden [ (a1, Netlist.Gate.Or) ] in
+  let vector = [| true; false; false; true; false |] in
+  let fixable = { Sim.Testgen.vector; po_index = 0; expected = false } in
+  Alcotest.(check bool) "output 0 fails" true (Sim.Testgen.fails faulty fixable);
+  let out1 = (Sim.Simulator.outputs faulty vector).(1) in
+  List.iter
+    (fun (name, expected) ->
+      let tests = [ fixable; { Sim.Testgen.vector; po_index = 1; expected } ] in
+      let sim = Diagnosis.Validity.check_sim faulty tests [ a1 ] in
+      Alcotest.(check bool) (name ^ ": sim verdict") (expected = out1) sim;
+      Alcotest.(check bool) (name ^ ": sat = sim") sim
+        (Diagnosis.Validity.check_sat faulty tests [ a1 ]))
+    [ ("passing output-1 test", out1); ("failing output-1 test", not out1) ]
+
 (* ---------- miter counterexamples ---------- *)
 
 (* every counterexample triple is a real failing test of the
@@ -570,6 +682,12 @@ let () =
           Alcotest.test_case "inputs rejected" `Quick
             test_muxed_rejects_input_candidates;
           Alcotest.test_case "dimacs export" `Quick test_muxed_export_dimacs;
+          Alcotest.test_case "copy encodes its cone only" `Quick
+            test_muxed_copy_cone_only;
+          Alcotest.test_case "folded gate value = simulation" `Quick
+            test_muxed_folded_gate_value;
+          Alcotest.test_case "candidate-free cone" `Quick
+            test_muxed_candidate_free_cone;
         ] );
       ("miter", [ QCheck_alcotest.to_alcotest prop_miter_counterexamples ]);
       ( "twin",

@@ -94,11 +94,30 @@ let test_clocks () =
       Alcotest.(check bool) "sleep visible on the wall clock" true
         (total >= 0.015)
   | _ -> Alcotest.fail "expected one span");
-  let w0 = Obs.Clock.wall () in
-  let w1 = Obs.Clock.wall () in
-  Alcotest.(check bool) "wall clock is monotone here" true (w1 >= w0);
   Alcotest.(check bool) "cpu clock is non-negative" true
     (Obs.Clock.cpu () >= 0.0)
+
+let test_wall_monotonic () =
+  (* CLOCK_MONOTONIC: consecutive readings never go backwards, on the
+     main domain and on a worker domain alike *)
+  let decreases n =
+    let prev = ref (Obs.Clock.wall ()) and bad = ref 0 in
+    for _ = 1 to n do
+      let w = Obs.Clock.wall () in
+      if w < !prev then incr bad;
+      prev := w
+    done;
+    !bad
+  in
+  let worker = Domain.spawn (fun () -> decreases 100_000) in
+  Alcotest.(check int) "main domain readings never decrease" 0
+    (decreases 100_000);
+  Alcotest.(check int) "worker domain readings never decrease" 0
+    (Domain.join worker);
+  let w0 = Obs.Clock.wall () in
+  Unix.sleepf 0.01;
+  Alcotest.(check bool) "a sleep advances it" true
+    (Obs.Clock.wall () -. w0 >= 0.009)
 
 (* ---------- histograms ---------- *)
 
@@ -634,6 +653,8 @@ let () =
           Alcotest.test_case "negative span" `Quick
             test_record_span_rejects_negative;
           Alcotest.test_case "clocks" `Quick test_clocks;
+          Alcotest.test_case "wall clock never decreases" `Quick
+            test_wall_monotonic;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "reset clears histograms and trace" `Quick
             test_reset_clears_new_state;

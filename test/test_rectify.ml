@@ -125,6 +125,34 @@ let test_rectify_multi_error () =
   done;
   Alcotest.(check bool) "rectified most double errors" true (!fixed >= 4)
 
+let test_rectify_disjoint_cones () =
+  (* one error in each of two disjoint output cones: each solution gate
+     lies outside the cone of the other output's tests, which place no
+     constraint on it, and the repair must still pass every test *)
+  let module B = Netlist.Builder in
+  let b = B.create ~name:"two_cones" in
+  let x0 = B.input b and x1 = B.input b and x2 = B.input b in
+  let a1 = B.and_ b x0 x1 in
+  B.output b (B.or_ b a1 x2);
+  let y0 = B.input b and y1 = B.input b and y2 = B.input b in
+  let b1 = B.xor_ b y0 y1 in
+  B.output b (B.and_ b b1 y2);
+  let golden = B.build b in
+  let faulty = C.with_kinds golden [ (a1, G.Or); (b1, G.Or) ] in
+  let tests = Sim.Testgen.exhaustive ~golden ~faulty in
+  let on_output o = List.exists (fun t -> t.Sim.Testgen.po_index = o) tests in
+  Alcotest.(check bool) "both outputs fail" true (on_output 0 && on_output 1);
+  match Diagnosis.Rectify.rectify ~k:2 faulty tests with
+  | None -> Alcotest.fail "must rectify"
+  | Some r ->
+      Alcotest.(check (list int)) "one gate per cone" [ a1; b1 ]
+        r.Diagnosis.Rectify.solution;
+      List.iter
+        (fun t ->
+          Alcotest.(check bool) "repaired passes" true
+            (not (Sim.Testgen.fails r.Diagnosis.Rectify.repaired t)))
+        tests
+
 let test_rectify_full_equivalence_loop () =
   (* counterexample-guided repair: accumulate miter counterexamples and
      rectify the original implementation against all of them, until the
@@ -216,6 +244,8 @@ let () =
           Alcotest.test_case "kind restored" `Quick
             test_rectify_restores_golden_kind;
           Alcotest.test_case "multi error" `Quick test_rectify_multi_error;
+          Alcotest.test_case "disjoint output cones" `Quick
+            test_rectify_disjoint_cones;
           Alcotest.test_case "equivalence loop" `Quick
             test_rectify_full_equivalence_loop;
           Alcotest.test_case "kind change only" `Quick

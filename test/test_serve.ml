@@ -137,6 +137,93 @@ let test_parse () =
   expect_error "non-diagnose batch member"
     {|{"op":"batch","requests":[{"op":"stats"}]}|}
 
+(* Out-of-range values are rejected at decode time with a one-line error
+   echoing the request's id, on the wire as well. *)
+let test_decode_ranges () =
+  let bad_values =
+    [
+      ("negative k", {|"k":-3|});
+      ("negative errors", {|"errors":-1|});
+      ("zero tests", {|"tests":0|});
+      ("negative tests", {|"tests":-1|});
+      ("zero max_solutions", {|"max_solutions":0|});
+      ("negative budget_conflicts", {|"budget_conflicts":-5|});
+      ("negative budget_seconds", {|"budget_seconds":-0.5|});
+    ]
+  in
+  let payload field =
+    Printf.sprintf {|{"op":"diagnose","id":42,"circuit":"rca",%s}|} field
+  in
+  List.iter
+    (fun (name, field) ->
+      match P.decode (payload field) with
+      | Ok _ -> Alcotest.failf "%s: decoded instead of failing" name
+      | Error (id, msg) ->
+          Alcotest.(check (option string))
+            (name ^ ": id") (Some "42") (Option.map J.to_string id);
+          Alcotest.(check bool)
+            (name ^ ": one line") false (String.contains msg '\n');
+          Alcotest.(check bool)
+            (name ^ ": no leaked exception") false
+            (contains ~sub:"Invalid_argument" msg))
+    bad_values;
+  (* the boundary values themselves are accepted *)
+  (match
+     P.decode
+       (payload
+          {|"k":0,"errors":0,"tests":1,"max_solutions":1,"budget_conflicts":0,"budget_seconds":0|})
+   with
+  | Ok (P.Diagnose _) -> ()
+  | Ok _ -> Alcotest.fail "boundary values: not a diagnose request"
+  | Error (_, msg) -> Alcotest.failf "boundary values rejected: %s" msg);
+  (* a batch member's bad value is reported under the batch's id *)
+  (match
+     P.decode
+       {|{"op":"batch","id":"b","requests":[{"circuit":"rca","tests":-1}]}|}
+   with
+  | Error (Some (J.String "b"), _) -> ()
+  | _ -> Alcotest.fail "batch member range error without the batch id");
+  (* the session writes the error under the id and keeps serving *)
+  let input = Filename.temp_file "serve_in" ".frames" in
+  let output = Filename.temp_file "serve_out" ".frames" in
+  let oc = open_out_bin input in
+  List.iter
+    (fun (_, field) -> P.write_frame oc (payload field))
+    bad_values;
+  P.write_frame oc {|{"op":"health","id":43}|};
+  close_out oc;
+  let ic = open_in_bin input and oc = open_out_bin output in
+  let code = Server.session (Server.create ~jobs:1 resolve) ic oc in
+  close_in ic;
+  close_out oc;
+  Alcotest.(check int) "session exit code" 0 code;
+  let ic = open_in_bin output in
+  let rec frames acc =
+    match P.read_frame ic with
+    | None -> List.rev acc
+    | Some f -> frames (f :: acc)
+  in
+  let responses = List.map J.parse (frames []) in
+  close_in ic;
+  Sys.remove input;
+  Sys.remove output;
+  Alcotest.(check int) "one response per frame"
+    (List.length bad_values + 1) (List.length responses);
+  List.iteri
+    (fun i r ->
+      match r with
+      | Error e -> Alcotest.failf "response %d is not JSON: %s" i e
+      | Ok r ->
+          let last = i = List.length bad_values in
+          Alcotest.(check string)
+            (Printf.sprintf "response %d id" i)
+            (if last then "43" else "42")
+            (J.to_string (member "id" r));
+          Alcotest.(check bool)
+            (Printf.sprintf "response %d ok" i)
+            last (bool_member "ok" r))
+    responses
+
 (* ---------- LRU cache ---------- *)
 
 let test_cache_lru () =
@@ -554,6 +641,7 @@ let () =
           Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
           Alcotest.test_case "malformed frames" `Quick test_frame_malformed;
           Alcotest.test_case "request decoding" `Quick test_parse;
+          Alcotest.test_case "out-of-range values" `Quick test_decode_ranges;
         ] );
       ( "cache",
         [ Alcotest.test_case "deterministic LRU" `Quick test_cache_lru ] );
