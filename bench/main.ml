@@ -45,6 +45,36 @@ let report_blocks : (string * Obs.Json.t) list ref = ref []
 let add_block name json =
   report_blocks := List.remove_assoc name !report_blocks @ [ (name, json) ]
 
+(* runs per wall-clock second of [f], timed over at least [min_time]
+   after one warm-up run *)
+let rate ?(min_time = 0.3) f =
+  ignore (f ());
+  let start = Obs.Clock.wall () in
+  let reps = ref 0 in
+  while Obs.Clock.wall () -. start < min_time do
+    ignore (f ());
+    incr reps
+  done;
+  float_of_int !reps /. (Obs.Clock.wall () -. start)
+
+(* the pigeonhole formula of [p] pigeons in [h] holes (unsatisfiable for
+   [p > h]); variable [pi * h + hi] places pigeon [pi] in hole [hi] *)
+let php p h =
+  let f = Sat.Cnf.create () in
+  let var pi hi = Sat.Lit.pos ((pi * h) + hi) in
+  for pi = 0 to p - 1 do
+    Sat.Cnf.add_clause f (List.init h (fun hi -> var pi hi))
+  done;
+  for hi = 0 to h - 1 do
+    for p1 = 0 to p - 1 do
+      for p2 = p1 + 1 to p - 1 do
+        Sat.Cnf.add_clause f
+          [ Sat.Lit.negate (var p1 hi); Sat.Lit.negate (var p2 hi) ]
+      done
+    done
+  done;
+  f
+
 (* one shared row computation for table2/table3/figure6; with
    [cfg.jobs > 1] the per-circuit cells run on separate domains (each
    cell owns its solvers and contexts) and the rows are stitched back in
@@ -884,17 +914,6 @@ let resolution _cfg =
    BENCH_micro.json so regressions are diffable across commits. *)
 let micro_throughput cfg =
   let rng = Random.State.make [| 0xB17 |] in
-  (* repetitions per second of [f], timed over at least [min_time] *)
-  let rate ?(min_time = 0.3) f =
-    ignore (f ());
-    let start = Obs.Clock.wall () in
-    let reps = ref 0 in
-    while Obs.Clock.wall () -. start < min_time do
-      ignore (f ());
-      incr reps
-    done;
-    float_of_int !reps /. (Obs.Clock.wall () -. start)
-  in
   Fmt.pr "== Simulation throughput (BENCH_micro.json, jobs=%d) ==@." cfg.jobs;
   Fmt.pr "  %-8s %6s | %12s %12s %14s %12s %8s@." "circuit" "gates"
     "scalar/s" "word/s" "gate-evals/s" "faults/s" "par-x";
@@ -947,23 +966,7 @@ let micro_throughput cfg =
      independent checker.  Rates are machine-dependent and stay out of
      the report block; the proof's step count and verdict are
      deterministic for a fixed solver, so they go in. *)
-  let php =
-    let p, h = (6, 5) in
-    let f = Sat.Cnf.create () in
-    let var pi hi = Sat.Lit.pos ((pi * h) + hi) in
-    for pi = 0 to p - 1 do
-      Sat.Cnf.add_clause f (List.init h (fun hi -> var pi hi))
-    done;
-    for hi = 0 to h - 1 do
-      for p1 = 0 to p - 1 do
-        for p2 = p1 + 1 to p - 1 do
-          Sat.Cnf.add_clause f
-            [ Sat.Lit.negate (var p1 hi); Sat.Lit.negate (var p2 hi) ]
-        done
-      done
-    done;
-    f
-  in
+  let php = php 6 5 in
   let solve_php ~log ?mode () =
     let s = Sat.Solver.create () in
     let proof = if log then Some (Sat.Proof.in_memory ()) else None in
@@ -1101,24 +1104,13 @@ let micro cfg =
       (Staged.stage (fun () ->
            List.map (Diagnosis.Path_trace.trace faulty) tests))
   in
-  let php n =
-    let s = Sat.Solver.create () in
-    let var p h = Sat.Lit.pos ((p * n) + h) in
-    for p = 0 to n do
-      Sat.Solver.add_clause s (List.init n (fun h -> var p h))
-    done;
-    for h = 0 to n - 1 do
-      for p1 = 0 to n do
-        for p2 = p1 + 1 to n do
-          Sat.Solver.add_clause s
-            [ Sat.Lit.negate (var p1 h); Sat.Lit.negate (var p2 h) ]
-        done
-      done
-    done;
-    assert (Sat.Solver.solve s = Sat.Solver.Unsat)
-  in
+  let php6 = php 7 6 in
   let t_sub_sat =
-    Test.make ~name:"substrate/cdcl-php6" (Staged.stage (fun () -> php 6))
+    Test.make ~name:"substrate/cdcl-php6"
+      (Staged.stage (fun () ->
+           let s = Sat.Solver.create () in
+           Sat.Solver.add_cnf s php6;
+           assert (Sat.Solver.solve s = Sat.Solver.Unsat)))
   in
   let grouped =
     Test.make_grouped ~name:"satdiag" ~fmt:"%s %s"
@@ -1166,38 +1158,13 @@ let micro cfg =
    `satsolve --check`. *)
 let checksmoke _cfg =
   let max_ratio = 2.5 in
-  let php p h =
-    let f = Sat.Cnf.create () in
-    let var pi hi = Sat.Lit.pos ((pi * h) + hi) in
-    for pi = 0 to p - 1 do
-      Sat.Cnf.add_clause f (List.init h (fun hi -> var pi hi))
-    done;
-    for hi = 0 to h - 1 do
-      for p1 = 0 to p - 1 do
-        for p2 = p1 + 1 to p - 1 do
-          Sat.Cnf.add_clause f
-            [ Sat.Lit.negate (var p1 hi); Sat.Lit.negate (var p2 hi) ]
-        done
-      done
-    done;
-    f
-  in
   let instances = [ ("php5", php 5 4); ("php6", php 6 5); ("php7", php 7 6) ] in
   Fmt.pr "== Checker smoke (fail if check/solve ratio > %.1fx) ==@." max_ratio;
   let failed = ref false in
   List.iter
     (fun (label, cnf) ->
-      (* seconds per run of [f], timed over at least 0.3 s *)
-      let time f =
-        ignore (f ());
-        let start = Sys.time () in
-        let reps = ref 0 in
-        while Sys.time () -. start < 0.3 do
-          ignore (f ());
-          incr reps
-        done;
-        (Sys.time () -. start) /. float_of_int !reps
-      in
+      (* wall seconds per run of [f] *)
+      let time f = 1.0 /. rate f in
       let solve_logged () =
         let s = Sat.Solver.create () in
         let p = Sat.Proof.in_memory () in

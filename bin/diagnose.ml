@@ -4,9 +4,17 @@
    the built-in names (s27, g1423, g6669, g38417, rca<W>, alu<W>, mul<W>,
    parity<N>).  See `diagnose --help`. *)
 
+(* Both front ends (the CLI and [serve]) resolve circuits here, so a
+   hostile netlist becomes one [Failure] line naming the file: the CLI
+   prints it and exits 2, the server answers it to the request. *)
 let load_circuit ?(scale = 1.0) spec =
   if Sys.file_exists spec then
-    (Core.Bench_format.parse_file spec).Core.Bench_format.circuit
+    match Core.Bench_format.parse_file spec with
+    | p -> p.Core.Bench_format.circuit
+    | exception Core.Bench_format.Parse_error { line; message } ->
+        Fmt.failwith "%s:%d: %s" spec line message
+    | exception Core.Circuit.Invalid message ->
+        Fmt.failwith "%s: %s" spec message
   else
     match Bench_suite.Embedded.by_name spec ~scale with
     | c -> c

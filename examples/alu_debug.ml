@@ -33,10 +33,10 @@ let () =
   (* diagnose with the SAT-based engine *)
   let solver = Core.Solver.create () in
   let inst = Core.Muxed.build ~max_k:1 solver faulty tests in
-  (match Core.Muxed.solve_at_most inst 1 with
+  (match Core.Select.solve_at_most inst 1 with
   | Core.Solver.Unsat -> Fmt.pr "no single-gate correction exists@."
   | Core.Solver.Sat ->
-      let sol = Core.Muxed.solution inst in
+      let sol = Core.Select.solution inst in
       Fmt.pr "BSAT correction: %a@." pp_sol sol;
       (* read off the correction witness: for each test, the value the
          repaired gate must produce *)

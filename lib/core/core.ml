@@ -21,6 +21,7 @@ module Telemetry = Diagnosis.Telemetry
 module Solutions = Diagnosis.Solutions
 module Tseitin = Encode.Tseitin
 module Cardinality = Encode.Cardinality
+module Select = Encode.Select
 module Muxed = Encode.Muxed
 module Path_trace = Diagnosis.Path_trace
 module Bsim = Diagnosis.Bsim

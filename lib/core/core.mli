@@ -33,6 +33,7 @@ module Obs = Obs
 module Telemetry = Diagnosis.Telemetry
 module Tseitin = Encode.Tseitin
 module Cardinality = Encode.Cardinality
+module Select = Encode.Select
 module Muxed = Encode.Muxed
 module Path_trace = Diagnosis.Path_trace
 module Bsim = Diagnosis.Bsim

@@ -1,15 +1,6 @@
-module Lit = Sat.Lit
+include Enumeration.Outcome
 
 type engine = Sat_engine | Backtrack_engine
-
-type result = {
-  bsim : Bsim.result;
-  solutions : int list list;
-  cnf_time : float;
-  one_time : float;
-  all_time : float;
-  truncated : bool;
-}
 
 let covers solution sets =
   Array.for_all
@@ -21,143 +12,61 @@ let irredundant solution sets =
     (fun g -> not (covers (List.filter (( <> ) g) solution) sets))
     solution
 
-(* Greedy reduction of a cover to an irredundant core: drop every element
-   whose removal leaves the sets covered.  Deterministic (scans in sorted
-   order), so both engines see the same canonical solution. *)
-let irredundant_core solution sets =
-  List.fold_left
-    (fun kept g ->
-      let without = List.filter (( <> ) g) kept in
-      if covers without sets then without else kept)
-    solution solution
-
 (* ---------- SAT engine (the paper's setup: covering solved by Zchaff) *)
 
-(* One worker's covering instance: variables over the sorted union,
-   one clause per candidate set, a cardinality counter.  Every worker of
-   a parallel enumeration builds an identical instance. *)
-let build_cover_instance ~k sets =
+(* One worker's covering instance: a select line per gate of the sorted
+   union, one clause per candidate set.  Every worker of a portfolio
+   builds an identical instance. *)
+let build_instance ~k union sets =
+  Encode.Select.build ~max_k:k (Sat.Solver.create ())
+    (Array.map (fun g -> [| g |]) union)
+    (fun e select ->
+      Array.iter
+        (fun ci ->
+          e.Encode.Emit.clause (List.map (fun g -> Option.get (select g)) ci))
+        sets)
+
+(* Figure 3's loop over the covering instance.  With the limit raised one
+   level at a time, a model at level i has no proper subset that covers:
+   that subset would contain an irredundant cover of size < i, found and
+   blocked at an earlier level.  So every recorded model is an
+   irredundant cover (condition (b) of Fig. 4), and blocking it also
+   blocks its supersets.  In a portfolio a model is only irredundant
+   within its cube.  Unlike an essential correction, an irredundant
+   cover is checkable against the sets alone, so each worker keeps just
+   the irredundant covers it found and needs no level fence: a
+   cap- or budget-truncated portfolio still returns every irredundant
+   cover its workers reached.  Irredundant covers are the
+   inclusion-minimal covers, so untruncated, {!Enumeration.portfolio}'s
+   merge is the sequential set. *)
+let enumerate_sat ~jobs ~max_solutions ~budget ~k sets =
   let union =
     Array.fold_left
       (fun acc ci -> List.fold_left (fun a g -> g :: a) acc ci)
       [] sets
-    |> List.sort_uniq Int.compare
-    |> Array.of_list
+    |> List.sort_uniq Int.compare |> Array.of_list
   in
-  let index = Hashtbl.create (Array.length union) in
-  Array.iteri (fun i g -> Hashtbl.add index g i) union;
-  let solver = Sat.Solver.create () in
-  let e = Encode.Emit.of_solver solver in
-  let vars = Array.map (fun _ -> e.Encode.Emit.fresh ()) union in
-  Array.iter
-    (fun ci ->
-      e.Encode.Emit.clause
-        (List.map (fun g -> Lit.pos vars.(Hashtbl.find index g)) ci))
-    sets;
-  let counter =
-    Encode.Cardinality.encode_at_most e
-      ~lits:(Array.to_list (Array.map Lit.pos vars))
-      ~max_bound:(min k (Array.length union))
-  in
-  (union, index, solver, vars, counter)
-
-(* Enumerate the irredundant covers reachable under [extra] assumptions,
-   blocking each recorded core; [record] returns false to stop early. *)
-let enumerate_cover_cubes ~k ~budget ~out_of_budget ~record
-    (union, index, solver, vars, counter) ~cubes sets =
-  let truncated = ref false in
-  let bound = min k (Array.length union) in
-  List.iter
-    (fun cube ->
-      for i = 1 to bound do
-        let continue_level = ref true in
-        while !continue_level do
-          if out_of_budget () || Sat.Budget.exhausted budget then begin
-            truncated := true;
-            continue_level := false
-          end
-          else
-            let assumptions =
-              cube @ Encode.Cardinality.bound_assumption counter i
-            in
-            match Sat.Solver.solve_limited ~assumptions ~budget solver with
-            | Sat.Solver.Unknown ->
-                truncated := true;
-                continue_level := false
-            | Sat.Solver.Solved Sat.Solver.Unsat -> continue_level := false
-            | Sat.Solver.Solved Sat.Solver.Sat ->
-                let sol = ref [] in
-                Array.iteri
-                  (fun j v ->
-                    if Sat.Solver.value solver v then sol := union.(j) :: !sol)
-                  vars;
-                (* The model is a cover but nothing forces it to be
-                   minimal: the cardinality bound admits gratuitously-true
-                   variables.  Reduce to an irredundant core before
-                   recording/blocking so the enumerated space matches the
-                   backtrack oracle's (condition (b) of Fig. 4); blocking
-                   the core also blocks every redundant superset, so the
-                   level still terminates. *)
-                let sol = irredundant_core (List.sort Int.compare !sol) sets in
-                record sol;
-                Sat.Solver.add_clause solver
-                  (List.map
-                     (fun g -> Lit.negate (Lit.pos vars.(Hashtbl.find index g)))
-                     sol)
-        done
-      done)
-    cubes;
-  !truncated
-
-let enumerate_sat ?(jobs = 1) ~max_solutions ~budget ~k sets =
-  if covers [] sets then
-    (* no sets to hit (m = 0): the empty cover is the unique irredundant
-       solution, exactly as the backtrack engine reports it *)
-    ([ [] ], 0.0, 0.0, false)
-  else begin
-    (* Cube partition over the first L union variables, cube [j] to
-       worker [j mod jobs] (one empty cube at [jobs = 1]).  Irredundant
-       covers of a monotone covering problem form an antichain, so
-       every recorded core is globally irredundant wherever it is found,
-       and the deduplicated union over cubes is exactly the sequential
-       solution set. *)
+  let k = min k (Array.length union) in
+  let found = Atomic.make 0 in
+  let worker w =
+    let t0 = Obs.Clock.wall () in
+    let inst = build_instance ~k union sets in
+    let cubes =
+      Sat.Lit.cubes ~jobs (Array.map (Encode.Select.select_lit inst) union) w
+    in
     let start = Obs.Clock.wall () in
-    let found = Atomic.make 0 in
-    let worker w =
-      let ((_, _, _, vars, _) as inst) = build_cover_instance ~k sets in
-      let cubes = Lit.cubes ~jobs (Array.map Lit.pos vars) w in
-      let sols = ref [] in
-      let first_at = ref infinity in
-      let out_of_budget () = Atomic.get found >= max_solutions in
-      let record sol =
-        if !sols = [] then first_at := Obs.Clock.wall ();
-        sols := sol :: !sols;
-        Atomic.incr found
-      in
-      let truncated =
-        enumerate_cover_cubes ~k ~budget ~out_of_budget ~record inst ~cubes sets
-      in
-      (!sols, truncated, !first_at)
+    let r =
+      Enumeration.enumerate ~cubes ~found ~max_solutions ~budget ~k inst
     in
-    let results = Par.run ~jobs worker in
-    let merged =
-      Array.to_list results
-      |> List.concat_map (fun (sols, _, _) -> sols)
-      |> Solutions.canonical
+    let o =
+      Enumeration.outcome ~start ~cnf_time:(start -. t0)
+        ~stats:(Sat.Solver.stats (Encode.Select.solver inst))
+        ~extra:() inst r
     in
-    let truncated =
-      Array.exists (fun (_, tr, _) -> tr) results
-      || List.length merged > max_solutions
-    in
-    let solutions = List.filteri (fun i _ -> i < max_solutions) merged in
-    let first_at =
-      Array.fold_left (fun acc (_, _, t) -> Float.min acc t) infinity results
-    in
-    let one_time =
-      if Float.is_finite first_at then first_at -. start else 0.0
-    in
-    (solutions, one_time, Obs.Clock.wall () -. start, truncated)
-  end
+    let solutions = List.filter (fun s -> irredundant s sets) o.solutions in
+    ({ o with solutions }, k)
+  in
+  Enumeration.portfolio ~strategy:Incremental_k ~max_solutions ~k ~jobs worker
 
 (* ---------- branch-and-bound oracle ---------- *)
 
@@ -203,43 +112,56 @@ let enumerate_backtrack ~max_solutions ~budget ~k sets =
           smallest
   in
   (try go [] with Budget -> ());
-  (Solutions.canonical !solutions, !one_time, Obs.Clock.wall () -. start,
-   !truncated)
+  {
+    solutions = Solutions.canonical !solutions;
+    cnf_time = 0.0;
+    one_time = !one_time;
+    all_time = Obs.Clock.wall () -. start;
+    truncated = !truncated;
+    solver_calls = 0;
+    stats = Sat.Solver.zero_stats;
+    cert_checks = 0;
+    cert_failures = [];
+    extra = ();
+  }
 
 let run_engine ~engine ~max_solutions ~budget ~jobs ~k sets =
   let budget =
     match budget with Some b -> b | None -> Sat.Budget.unlimited ()
   in
   match engine with
-  | Sat_engine -> enumerate_sat ~jobs ~max_solutions ~budget ~k sets
   | Backtrack_engine -> enumerate_backtrack ~max_solutions ~budget ~k sets
+  | Sat_engine when covers [] sets ->
+      (* no sets to hit (m = 0): the empty cover is the unique
+         irredundant solution, exactly as the backtrack engine reports *)
+      enumerate_backtrack ~max_solutions ~budget ~k sets
+  | Sat_engine -> enumerate_sat ~jobs ~max_solutions ~budget ~k sets
 
 let enumerate ?(engine = Sat_engine) ?(max_solutions = max_int) ?budget
     ?(jobs = 1) ~k sets =
   let jobs = Par.clamp_jobs jobs in
-  let solutions, _, _, truncated =
-    run_engine ~engine ~max_solutions ~budget ~jobs ~k sets
-  in
-  (solutions, truncated)
+  let r = run_engine ~engine ~max_solutions ~budget ~jobs ~k sets in
+  (r.solutions, r.truncated)
 
 let diagnose ?(engine = Sat_engine) ?tie_break ?(max_solutions = max_int)
     ?budget ?obs ?(jobs = 1) ~k c tests =
   let jobs = Par.clamp_jobs jobs in
   let t0 = Obs.Clock.wall () in
   let bsim = Bsim.diagnose ?tie_break ?obs ~jobs c tests in
-  let sets = bsim.Bsim.candidate_sets in
-  let cnf_time = Obs.Clock.wall () -. t0 in
-  let solutions, one_time, all_time, truncated =
+  let bsim_time = Obs.Clock.wall () -. t0 in
+  let r =
     Telemetry.phase obs "cov/enumerate"
-      ~payload:(fun (sols, _, _, _) -> List.length sols)
-      (fun () -> run_engine ~engine ~max_solutions ~budget ~jobs ~k sets)
+      ~payload:(fun r -> List.length r.solutions)
+      (fun () ->
+        run_engine ~engine ~max_solutions ~budget ~jobs ~k
+          bsim.Bsim.candidate_sets)
   in
   (match obs with
   | None -> ()
   | Some o ->
       List.iter
         (fun sol -> Obs.observe o "cov/solution_size" (List.length sol))
-        solutions;
-      Obs.add o "cov/solutions" (List.length solutions);
-      Obs.add o "cov/truncated" (if truncated then 1 else 0));
-  { bsim; solutions; cnf_time; one_time; all_time; truncated }
+        r.solutions;
+      Obs.add o "cov/solutions" (List.length r.solutions);
+      Obs.add o "cov/truncated" (if r.truncated then 1 else 0));
+  { r with cnf_time = bsim_time +. r.cnf_time; extra = bsim }

@@ -24,12 +24,12 @@ type run = {
 }
 
 let shrink ~budget ~on_call inst sol =
-  let all_candidates = Array.to_list (Encode.Muxed.candidate_gates inst) in
+  let all_candidates = Array.to_list (Encode.Select.candidate_gates inst) in
   let keep_off in_candidate =
     List.filter_map
       (fun g ->
         if Hashtbl.mem in_candidate g then None
-        else Some (Sat.Lit.negate (Encode.Muxed.select_lit inst g)))
+        else Some (Sat.Lit.negate (Encode.Select.select_lit inst g)))
       all_candidates
   in
   let rec drop kept_rev = function
@@ -41,12 +41,12 @@ let shrink ~budget ~on_call inst sol =
         let in_candidate = Hashtbl.create 16 in
         List.iter (fun h -> Hashtbl.replace in_candidate h ()) candidate;
         let extra =
-          List.map (Encode.Muxed.select_lit inst) candidate
+          List.map (Encode.Select.select_lit inst) candidate
           @ keep_off in_candidate
         in
         on_call ();
         match
-          Encode.Muxed.solve_at_most_limited ~extra ~budget inst
+          Encode.Select.solve_at_most_limited ~extra ~budget inst
             (List.length candidate)
         with
         | Sat.Solver.Solved Sat.Solver.Sat -> drop kept_rev rest
@@ -67,7 +67,7 @@ let enumerate ?(strategy = Incremental_k) ?(cubes = [ [] ]) ?guard ?found
     if !first_at = None then first_at := Some (Obs.Clock.wall ());
     sols := sol :: !sols;
     Atomic.incr found;
-    Encode.Muxed.block ?unless:guard inst sol
+    Encode.Select.block ?unless:guard inst sol
   in
   (* solve at one limit until Unsat (true) or until cut short (false) *)
   let rec level ~extra i =
@@ -75,10 +75,10 @@ let enumerate ?(strategy = Incremental_k) ?(cubes = [ [] ]) ?guard ?found
       false
     else begin
       on_call ();
-      match Encode.Muxed.solve_at_most_limited ~extra ~budget inst i with
+      match Encode.Select.solve_at_most_limited ~extra ~budget inst i with
       | Sat.Solver.Solved Sat.Solver.Unsat -> true
       | Sat.Solver.Solved Sat.Solver.Sat -> (
-          let sol = Encode.Muxed.solution inst in
+          let sol = Encode.Select.solution inst in
           match strategy with
           | Incremental_k ->
               record sol;
@@ -135,7 +135,71 @@ let outcome ~start ~cnf_time ~stats ~extra inst r =
     truncated = r.cut;
     solver_calls = r.calls;
     stats;
-    cert_checks = Encode.Muxed.cert_checks inst;
-    cert_failures = Encode.Muxed.cert_failures inst;
+    cert_checks = Encode.Select.cert_checks inst;
+    cert_failures = Encode.Select.cert_failures inst;
     extra;
   }
+
+(* A portfolio's solution space is partitioned into disjoint cubes over
+   the first select lines; each worker enumerates its cubes to its own
+   outcome and reports its fence (the [completed] of its run).  A
+   cube-minimal solution that is not globally minimal contains a smaller
+   solution living in another cube, so filtering the merged union down
+   to inclusion-minimal sets recovers exactly the sequential
+   essential-solution set, and the canonical sort makes the list
+   byte-identical to [jobs = 1]. *)
+let merge_portfolio ~strategy ~max_solutions ~k workers =
+  let outcomes = Array.map fst workers in
+  let sum f = Array.fold_left (fun acc o -> acc + f o) 0 outcomes in
+  let max_time f =
+    Array.fold_left (fun acc o -> Float.max acc (f o)) 0.0 outcomes
+  in
+  (* a solution of size <= fence+1 that is not essential contains an
+     essential one of size <= fence, which every worker's every cube
+     enumerated to Unsat — so it is present in the union and the
+     inclusion-minimal filter removes the superset.  Above the fence a
+     dominator may have been lost to the budget; those solutions are
+     dropped (the run is already marked truncated).  A single pass has
+     no levels to fence. *)
+  let fence =
+    match strategy with
+    | Incremental_k -> Array.fold_left (fun acc (_, f) -> min acc f) k workers
+    | Minimize_single_pass -> k
+  in
+  let merged =
+    Array.to_list outcomes
+    |> List.concat_map (fun o -> o.Outcome.solutions)
+    |> Solutions.canonical |> Solutions.minimal_only
+    |> List.filter (fun s -> List.length s <= fence + 1)
+  in
+  let one_time =
+    Array.fold_left
+      (fun acc o ->
+        if o.Outcome.solutions = [] then acc else Float.min acc o.one_time)
+      infinity outcomes
+  in
+  {
+    Outcome.solutions = List.filteri (fun i _ -> i < max_solutions) merged;
+    cnf_time = max_time (fun o -> o.cnf_time);
+    one_time = (if Float.is_finite one_time then one_time else 0.0);
+    all_time = max_time (fun o -> o.all_time);
+    truncated =
+      Array.exists (fun o -> o.Outcome.truncated) outcomes
+      || List.length merged > max_solutions;
+    solver_calls = sum (fun o -> o.solver_calls);
+    stats =
+      Array.fold_left
+        (fun acc o -> Sat.Solver.sum_stats acc o.Outcome.stats)
+        Sat.Solver.zero_stats outcomes;
+    (* per-worker certification composes: each worker certifies its own
+       cubes' answers, and the cubes cover the solution space *)
+    cert_checks = sum (fun o -> o.cert_checks);
+    cert_failures =
+      Array.to_list outcomes
+      |> List.concat_map (fun o -> o.Outcome.cert_failures);
+    extra = ();
+  }
+
+let portfolio ~strategy ~max_solutions ~k ~jobs worker =
+  if jobs = 1 then fst (worker 0)
+  else merge_portfolio ~strategy ~max_solutions ~k (Par.run ~jobs worker)

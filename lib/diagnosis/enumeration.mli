@@ -3,13 +3,15 @@
 
     BSAT's loop — raise the limit i from 1 to k, solve, record the
     solution, block it, stop on the cap or the budget — exists once,
-    here.  {!Bsat} (sequentially and per portfolio cube),
-    {!Incremental.solutions}, {!Seq_diag.diagnose_bsat} and each of
-    {!Hitting}'s node checks run it over an instance they built
-    themselves.  The kernel issues exactly the solve calls those engines
-    issued when each carried its own copy of the loop: the same
-    assumptions ([bound @ extra]), the same blocking clauses, in the
-    same order. *)
+    here, over any instance built on {!Encode.Select}.  {!Bsat}
+    (sequentially and per portfolio cube), {!Cover}'s SAT engine (the
+    covering instance of Fig. 4, likewise), {!Incremental.solutions},
+    {!Seq_diag.diagnose_bsat} and each of {!Hitting}'s node checks run it
+    over an instance they built themselves.  The kernel issues exactly
+    the solve calls those engines issued when each carried its own copy
+    of the loop: the same assumptions ([bound @ extra]), the same
+    blocking clauses, in the same order.  {!portfolio} is the one
+    run and merge of a cube-partitioned portfolio ({!Bsat}, {!Cover}). *)
 
 module Outcome : sig
   type 'extra outcome = {
@@ -68,13 +70,13 @@ val enumerate :
   ?max_solutions:int ->
   budget:Sat.Budget.t ->
   k:int ->
-  Encode.Muxed.t ->
+  'a Encode.Select.t ->
   run
 (** Enumerate the essential corrections of size [<= k] of a built
     instance, blocking each one.  Every cube of [cubes] (default [[[]]])
     is enumerated in turn with its literals as extra assumptions.
     [guard] is assumed on every call and carried by every blocking
-    clause ({!Encode.Muxed.block}'s [unless]), so the caller can retire
+    clause ({!Encode.Select.block}'s [unless]), so the caller can retire
     the enumeration later.  The run stops once [found] (default: a
     fresh counter, incremented per solution, shareable across portfolio
     workers) reaches [max_solutions], or once [budget] is exhausted.
@@ -92,10 +94,35 @@ val outcome :
   cnf_time:float ->
   stats:Sat.Solver.stats ->
   extra:'extra ->
-  Encode.Muxed.t ->
+  'a Encode.Select.t ->
   run ->
   'extra Outcome.outcome
 (** The outcome of a run that began at the {!Obs.Clock.wall} instant
     [start]: its solutions in canonical order, [one_time] and [all_time]
     measured from [start] ([one_time = 0.0] when nothing was found), and
     the instance's certification results. *)
+
+val portfolio :
+  strategy:strategy ->
+  max_solutions:int ->
+  k:int ->
+  jobs:int ->
+  (int -> unit Outcome.outcome * int) ->
+  unit Outcome.outcome
+(** [portfolio ~jobs worker] runs [worker w] for [w] in [0..jobs-1] on
+    their own domains ({!Par.run}; at [jobs = 1] just [worker 0], whose
+    outcome is returned as is) and merges the outcomes, each paired
+    with its run's [completed] fence.  The workers must enumerate the
+    cubes {!Sat.Lit.cubes} gives them over the same select lines, which
+    are disjoint and exhaustive, so the union filtered to
+    inclusion-minimal sets, in canonical order and cut to
+    [max_solutions], equals the sequential solution list exactly
+    whenever no worker was cut short.  Under truncation only solutions
+    at most one above the lowest fence are kept (a dominator above it
+    may have been lost to the budget in another cube), so the list is
+    still a subset of the essential solutions; which subset depends on
+    the schedule.  [Minimize_single_pass] needs no fence: every recorded
+    set was shrunk to an essential one.  Times are the slowest worker's
+    ([one_time] the earliest first solution); solver calls, counters and
+    certification results are summed.  Irredundant covers are the
+    inclusion-minimal covers, so the same merge is exact for COV. *)

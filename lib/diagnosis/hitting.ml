@@ -73,9 +73,9 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
         Array.iter
           (fun g ->
             Hashtbl.replace ban_gate
-              (Sat.Lit.code (Sat.Lit.negate (Encode.Muxed.select_lit inst g)))
+              (Sat.Lit.code (Sat.Lit.negate (Encode.Select.select_lit inst g)))
               g)
-          (Encode.Muxed.candidate_gates inst);
+          (Encode.Select.candidate_gates inst);
         {
           solver;
           inst;
@@ -89,7 +89,7 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
   let cnf_time =
     Array.fold_left (fun acc st -> Float.max acc st.cnf_time) 0.0 states
   in
-  let cands = Encode.Muxed.candidate_gates states.(0).inst in
+  let cands = Encode.Select.candidate_gates states.(0).inst in
   Option.iter (fun o -> Obs.begin_event o (obs_prefix ^ "/solve")) obs;
   let start = Obs.Clock.wall () in
   (* shared enumeration state, touched only on the main domain between
@@ -184,7 +184,7 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
           match l with
           | [] -> ()
           | f :: rest ->
-              Encode.Muxed.block st.inst f;
+              Encode.Select.block st.inst f;
               replay (n - 1) rest
       in
       replay missing !blocks;
@@ -204,7 +204,7 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
       |> List.filter_map (fun g ->
              if Hashtbl.mem in_path g then None
              else
-               Some (Sat.Lit.negate (Encode.Muxed.select_lit st.inst g)))
+               Some (Sat.Lit.negate (Encode.Select.select_lit st.inst g)))
     in
     (* a budget death mid-shrink discards the set: only globally
        inclusion-minimal diagnoses are ever recorded, so a truncated
@@ -222,14 +222,14 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
       | gates ->
           let lits =
             List.map
-              (fun g -> Sat.Lit.negate (Encode.Muxed.select_lit st.inst g))
+              (fun g -> Sat.Lit.negate (Encode.Select.select_lit st.inst g))
               gates
           in
           let shrunk =
             Sat.Solver.shrink_core
               ~solve:(fun assumptions ->
                 incr st.ncalls;
-                Encode.Muxed.solve_at_most_limited ~extra:assumptions ~budget
+                Encode.Select.solve_at_most_limited ~extra:assumptions ~budget
                   st.inst k)
               st.solver lits
           in
@@ -319,11 +319,11 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
       Sat.Solver.zero_stats states
   in
   let cert_checks =
-    Array.fold_left (fun a st -> a + Encode.Muxed.cert_checks st.inst) 0 states
+    Array.fold_left (fun a st -> a + Encode.Select.cert_checks st.inst) 0 states
   in
   let cert_failures =
     Array.to_list states
-    |> List.concat_map (fun st -> Encode.Muxed.cert_failures st.inst)
+    |> List.concat_map (fun st -> Encode.Select.cert_failures st.inst)
   in
   (match obs with
   | None -> ()

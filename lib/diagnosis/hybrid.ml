@@ -69,7 +69,7 @@ let repair ?marks ?budget ?obs ?(certify = false) ?jobs ~k ~seed c tests =
   let solver = Sat.Solver.create () in
   let inst = Encode.Muxed.build ~certify ~max_k:k solver c tests in
   let is_candidate g =
-    match Encode.Muxed.select_lit inst g with
+    match Encode.Select.select_lit inst g with
     | _ -> true
     | exception Not_found -> false
   in
@@ -85,16 +85,16 @@ let repair ?marks ?budget ?obs ?(certify = false) ?jobs ~k ~seed c tests =
     {
       repaired;
       exhausted;
-      cert_checks = Encode.Muxed.cert_checks inst;
-      cert_failures = Encode.Muxed.cert_failures inst;
+      cert_checks = Encode.Select.cert_checks inst;
+      cert_failures = Encode.Select.cert_failures inst;
     }
   in
   let rec attempt kept =
-    let extra = List.map (Encode.Muxed.select_lit inst) kept in
-    match Encode.Muxed.solve_at_most_limited ~extra ~budget inst k with
+    let extra = List.map (Encode.Select.select_lit inst) kept in
+    match Encode.Select.solve_at_most_limited ~extra ~budget inst k with
     | Sat.Solver.Unknown -> finish None ~exhausted:true
     | Sat.Solver.Solved Sat.Solver.Sat ->
-        let sol = Encode.Muxed.solution inst in
+        let sol = Encode.Select.solution inst in
         let correction =
           Validity.essentialize ~check:(fun s -> Validity.check_sat c tests s)
             sol

@@ -90,13 +90,13 @@ let solutions ?(max_solutions = max_int) ?budget ?(jobs = 1) t =
   in
   (* guard this enumeration's blocking clauses so the next call (after
      more tests arrived) starts from a clean solution space *)
-  let active = Encode.Muxed.fresh_activation t.inst in
+  let active = Encode.Select.fresh_activation t.inst in
   let r =
     Enumeration.enumerate ~guard:active ~max_solutions ~budget ~k:t.k t.inst
   in
   (* retire the guard permanently — through the instance's emit hook so
      the certification checker sees the unit clause too *)
-  Encode.Muxed.assert_clause t.inst [ Sat.Lit.negate active ];
+  Encode.Select.assert_clause t.inst [ Sat.Lit.negate active ];
   t.last_truncated <- r.Enumeration.cut;
   Solutions.canonical r.Enumeration.found
 
@@ -104,7 +104,7 @@ let last_truncated t = t.last_truncated
 
 let stats t = Sat.Solver.stats t.solver
 
-let cert_checks t = t.portfolio_checks + Encode.Muxed.cert_checks t.inst
+let cert_checks t = t.portfolio_checks + Encode.Select.cert_checks t.inst
 
 let cert_failures t =
-  t.portfolio_failures @ Encode.Muxed.cert_failures t.inst
+  t.portfolio_failures @ Encode.Select.cert_failures t.inst

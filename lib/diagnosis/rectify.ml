@@ -143,7 +143,7 @@ let consistent_witness c tests solution =
     Encode.Muxed.build ~candidates:solution ~max_k:(List.length solution)
       solver c tests
   in
-  let selects = List.map (Encode.Muxed.select_lit inst) solution in
+  let selects = List.map (Encode.Select.select_lit inst) solution in
   (* On a conflicting input combination, force every test currently
      showing it to one shared polarity (assumptions, both polarities
      tried) and re-solve; accumulate until the witness is functional. *)

@@ -135,6 +135,6 @@ let check s tests core_gates =
               u.Sequential.circuit comb_tests
           in
           let extra =
-            List.map (fun g -> Encode.Muxed.select_lit inst g) core_gates
+            List.map (fun g -> Encode.Select.select_lit inst g) core_gates
           in
           Sat.Solver.solve ~assumptions:extra solver = Sat.Solver.Sat)

@@ -10,7 +10,7 @@ let check_sat c tests cands =
           c tests
       in
       let assumptions =
-        List.map (fun g -> Encode.Muxed.select_lit inst g) cands
+        List.map (fun g -> Encode.Select.select_lit inst g) cands
       in
       Sat.Solver.solve ~assumptions solver = Sat.Solver.Sat
 

@@ -20,16 +20,17 @@
     candidate keeps its select line and counts towards the bound even
     where no copy constrains it.
 
-    A sequential counter over the select lines provides the
-    "at most k changed gates" bound, selectable per solve call via
-    assumptions (Fig. 3, line 2).
+    The select lines, the "at most k changed gates" counter (Fig. 3,
+    line 2), solving, solutions, blocking and certification are the
+    {!Select} layer this instance is built on; a [t] is used with
+    {!Select}'s functions directly.  Candidates may be grouped, sharing
+    one select line: every time-frame copy of a core gate in unrolled
+    sequential diagnosis (Ali et al.). *)
 
-    Candidates may be grouped: all gates of a group share one select line
-    and count once towards the bound.  This models one *design* error
-    appearing in several places — in particular every time-frame copy of
-    a core gate in unrolled sequential diagnosis (Ali et al.). *)
+type body
+(** The circuit copies. *)
 
-type t
+type t = body Select.t
 
 val build :
   ?mirror:Sat.Cnf.t ->
@@ -56,11 +57,7 @@ val build :
     [mirror] additionally copies every clause into the given CNF (see
     {!export_dimacs}).
 
-    [certify] attaches a {!Sat.Certify} certifier to [solver] and feeds
-    it every emitted clause, so each solve call's answer is verified
-    under that call's assumptions (the cardinality bound and any
-    activation guards).  Outcomes accumulate in {!cert_checks} /
-    {!cert_failures}.  [certify] requires a fresh [solver]. *)
+    [certify] verifies every solve call's answer ({!Select.build}). *)
 
 val export_dimacs :
   ?candidates:int list ->
@@ -86,35 +83,7 @@ val add_test : t -> Sim.Testgen.test -> unit
     longer be corrections for the extended set. *)
 
 val circuit : t -> Netlist.Circuit.t
-
-val candidate_gates : t -> int array
-(** All gates carrying a multiplexer, over all groups. *)
-
 val num_tests : t -> int
-
-val select_lit : t -> int -> Sat.Lit.t
-(** Select literal of a candidate gate's group.
-    @raise Not_found for non-candidates. *)
-
-val solve_at_most : ?extra:Sat.Lit.t list -> t -> int -> Sat.Solver.result
-(** Solve under "at most k selected groups", plus extra assumptions. *)
-
-val solve_at_most_limited :
-  ?extra:Sat.Lit.t list ->
-  budget:Sat.Budget.t ->
-  t ->
-  int ->
-  Sat.Solver.limited_result
-(** [solve_at_most] under a solver-effort budget ({!Sat.Solver.solve_limited});
-    consumed effort is charged to [budget], so one budget can cap a whole
-    enumeration. *)
-
-val solution : t -> int list
-(** After [Sat]: one representative (smallest gate id) per selected
-    group, sorted.  For singleton groups this is the gate itself. *)
-
-val solution_groups : t -> int list list
-(** After [Sat]: the selected groups in full. *)
 
 val correction_value : t -> test:int -> gate:int -> bool
 (** After [Sat]: the value injected at a candidate gate for a test — the
@@ -126,30 +95,6 @@ val correction_value : t -> test:int -> gate:int -> bool
 val correction_var : t -> test:int -> gate:int -> int
 (** The solver variable carrying that correction value (for phase hints
     and assumptions).  @raise Not_found as {!correction_value}. *)
-
-val block : ?unless:Sat.Lit.t -> t -> int list -> unit
-(** Add the blocking clause [∨ ¬s] over the groups of the given gates,
-    excluding that solution and all supersets from future solve calls.
-    With [unless], the clause carries that activation guard: it only
-    takes effect while the literal is assumed true, so a whole
-    enumeration can be retired (incremental diagnosis). *)
-
-val assert_clause : t -> Sat.Lit.t list -> unit
-(** Add an arbitrary clause through the instance's emit hook, so mirrors
-    and the certification checker stay in sync with the solver.  Used to
-    retire activation guards ([¬a] as a unit clause). *)
-
-val fresh_activation : t -> Sat.Lit.t
-(** A fresh activation literal for guarded blocking clauses. *)
-
-val cert_checks : t -> int
-(** Solver answers verified so far (both [Sat] and [Unsat]; [Unknown]
-    results carry no claim and are not counted). *)
-
-val cert_failures : t -> string list
-(** Verification failures so far, oldest first.  Always [[]] unless the
-    solver or checker has a bug — this is the paper-level soundness net:
-    every diagnosis step's SAT answer is independently replayed. *)
 
 val gate_value : t -> test:int -> gate:int -> bool
 (** After [Sat]: the (post-mux) value of a gate in a test copy.  For a

@@ -18,7 +18,7 @@
 
     Verification never changes answers; outcomes accumulate in
     {!checks} / {!failures}.  This is the discipline behind [~certify]
-    in [Encode.Muxed] and [Encode.Twin]. *)
+    in [Encode.Select] (hence [Encode.Muxed]) and [Encode.Twin]. *)
 
 type t
 

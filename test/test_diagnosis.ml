@@ -243,7 +243,7 @@ let prop_cov_solutions_cover_and_irredundant =
       let _, faulty, _, tests = workload seed p in
       QCheck.assume (tests <> []);
       let r = Diagnosis.Cover.diagnose ~k:p faulty tests in
-      let sets = r.Diagnosis.Cover.bsim.Diagnosis.Bsim.candidate_sets in
+      let sets = r.Diagnosis.Cover.extra.Diagnosis.Bsim.candidate_sets in
       List.for_all
         (fun sol ->
           Diagnosis.Cover.covers sol sets
@@ -556,14 +556,19 @@ let test_sim_engines_exhausted_budget () =
     r.Diagnosis.Advanced_sim.solutions;
   (* a budget that runs out mid-search keeps what was found: every cover
      irredundant, every correction valid *)
-  let tight = Sat.Budget.create ~conflicts:1 () in
-  let r = Diagnosis.Cover.diagnose ~budget:tight ~k:2 faulty tests in
   let full = Diagnosis.Cover.diagnose ~k:2 faulty tests in
   List.iter
-    (fun sol ->
-      Alcotest.(check bool) "partial cover in the full set" true
-        (List.mem sol full.Diagnosis.Cover.solutions))
-    r.Diagnosis.Cover.solutions
+    (fun jobs ->
+      let tight = Sat.Budget.create ~conflicts:1 () in
+      let r = Diagnosis.Cover.diagnose ~budget:tight ~jobs ~k:2 faulty tests in
+      List.iter
+        (fun sol ->
+          Alcotest.(check bool)
+            (Printf.sprintf "partial cover in the full set (jobs %d)" jobs)
+            true
+            (List.mem sol full.Diagnosis.Cover.solutions))
+        r.Diagnosis.Cover.solutions)
+    [ 1; 3 ]
 
 (* ---------- advanced approaches ---------- *)
 
@@ -685,31 +690,50 @@ let prop_hybrid_repair_valid =
                 r.Diagnosis.Hybrid.correction))
 
 (* COV engines on raw random set-cover instances (not only circuit-derived
-   ones): broader input space for the SAT-vs-backtrack equivalence *)
+   ones): broader input space for the SAT-vs-backtrack equivalence, with
+   k up to two above the union size, the odd empty (uncoverable) set and
+   duplicated sets; the SAT engine runs sequentially and as a 3-wide
+   portfolio, so the shared portfolio merge is checked on COV too, and a
+   portfolio cut short by a small cap must still list only irredundant
+   covers *)
 let prop_cover_engines_on_raw_instances =
   let gen =
     QCheck.Gen.(
       let* nsets = int_range 1 6 in
       let* universe = int_range 1 8 in
-      list_size (return nsets)
-        (let* len = int_range 1 4 in
-         list_size (return len) (int_range 0 (universe - 1))))
+      let* sets =
+        list_size (return nsets)
+          (let* len = frequency [ (1, return 0); (9, int_range 1 4) ] in
+           list_size (return len) (int_range 0 (universe - 1)))
+      in
+      let* dup = bool in
+      let* k = int_range 0 (universe + 2) in
+      return (k, if dup then List.hd sets :: sets else sets))
   in
   QCheck.Test.make ~count:200 ~name:"COV engines agree on raw instances"
     (QCheck.make
-       ~print:(fun sets ->
-         String.concat " ; "
-           (List.map
-              (fun s -> String.concat "," (List.map string_of_int s))
-              sets))
+       ~print:(fun (k, sets) ->
+         Printf.sprintf "k=%d: %s" k
+           (String.concat " ; "
+              (List.map
+                 (fun s -> String.concat "," (List.map string_of_int s))
+                 sets)))
        gen)
-    (fun sets ->
+    (fun (k, sets) ->
       let sets = Array.of_list (List.map (List.sort_uniq Int.compare) sets) in
-      let run engine =
-        fst (Diagnosis.Cover.enumerate ~engine ~k:3 sets)
+      let run ?jobs ?max_solutions engine =
+        fst (Diagnosis.Cover.enumerate ~engine ?jobs ?max_solutions ~k sets)
         |> List.map sorted |> List.sort compare
       in
-      run Diagnosis.Cover.Sat_engine = run Diagnosis.Cover.Backtrack_engine)
+      let oracle = run Diagnosis.Cover.Backtrack_engine in
+      run ~jobs:1 Diagnosis.Cover.Sat_engine = oracle
+      && run ~jobs:3 Diagnosis.Cover.Sat_engine = oracle
+      && List.for_all
+           (fun max_solutions ->
+             List.for_all
+               (fun s -> List.mem s oracle)
+               (run ~jobs:3 ~max_solutions Diagnosis.Cover.Sat_engine))
+           [ 1; 2 ])
 
 (* ---------- incremental ---------- *)
 

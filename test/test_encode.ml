@@ -233,18 +233,18 @@ let test_muxed_no_selection_unsat () =
   let solver = Sat.Solver.create () in
   let inst = Encode.Muxed.build ~max_k:1 solver faulty tests in
   Alcotest.(check bool) "k=0 unsat" true
-    (Encode.Muxed.solve_at_most inst 0 = Sat.Solver.Unsat)
+    (Encode.Select.solve_at_most inst 0 = Sat.Solver.Unsat)
 
 let test_muxed_error_site_satisfies () =
   let faulty, errors, tests = faulty_adder () in
   let sites = Sim.Fault.sites errors in
   let solver = Sat.Solver.create () in
   let inst = Encode.Muxed.build ~max_k:1 solver faulty tests in
-  let extra = List.map (Encode.Muxed.select_lit inst) sites in
+  let extra = List.map (Encode.Select.select_lit inst) sites in
   Alcotest.(check bool) "selecting the real error site works" true
-    (Encode.Muxed.solve_at_most ~extra inst 1 = Sat.Solver.Sat);
+    (Encode.Select.solve_at_most ~extra inst 1 = Sat.Solver.Sat);
   Alcotest.(check (list int)) "solution is the site" sites
-    (Encode.Muxed.solution inst)
+    (Encode.Select.solution inst)
 
 let test_muxed_correction_witness () =
   (* the extracted correction values, forced in simulation, rectify each
@@ -252,10 +252,10 @@ let test_muxed_correction_witness () =
   let faulty, _, tests = faulty_adder () in
   let solver = Sat.Solver.create () in
   let inst = Encode.Muxed.build ~max_k:2 solver faulty tests in
-  match Encode.Muxed.solve_at_most inst 2 with
+  match Encode.Select.solve_at_most inst 2 with
   | Sat.Solver.Unsat -> Alcotest.fail "expected a correction"
   | Sat.Solver.Sat ->
-      let sol = Encode.Muxed.solution inst in
+      let sol = Encode.Select.solution inst in
       List.iteri
         (fun ti t ->
           let forced =
@@ -330,7 +330,7 @@ let test_muxed_export_dimacs () =
   let live = Sat.Solver.create () in
   let inst = Encode.Muxed.build ~max_k:1 live faulty2 tests2 in
   Alcotest.(check bool) "equisatisfiable" true
-    (Sat.Solver.solve s2 = Encode.Muxed.solve_at_most inst 1)
+    (Sat.Solver.solve s2 = Encode.Select.solve_at_most inst 1)
 
 (* ---------- cone-of-influence copies ---------- *)
 
@@ -398,7 +398,7 @@ let test_muxed_folded_gate_value () =
     in
     let solver = Sat.Solver.create () in
     let inst = Encode.Muxed.build ~candidates:[ cand ] ~max_k:1 solver c tests in
-    (match Encode.Muxed.solve_at_most inst 1 with
+    (match Encode.Select.solve_at_most inst 1 with
     | Sat.Solver.Unsat -> Alcotest.fail "passing tests must be satisfiable"
     | Sat.Solver.Sat -> ());
     let fanout = Netlist.Structural.fanout_cone c [ cand ] in
